@@ -4,8 +4,8 @@ Loading follows the quisk pattern (SNIPPETS.md Snippet 1): the shared
 library is a pure accelerator, never a dependency.  ``load()`` either
 returns a working :class:`NativeBackend` or raises :class:`KernelError`
 with the reason — missing cffi, no C compiler, a failed build, a corrupt
-or ABI-incompatible library — and the dispatch layer degrades to the numpy
-or packed-Python tier.
+or ABI-incompatible library — and the dispatch layer degrades to the
+packed-Python tier.
 
 The library is compiled at first use (``cc -O2 -shared -fPIC``) into a
 cache directory, named by a hash of the C source so stale builds are never
@@ -30,6 +30,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+from repro.kernels.python_tier import _kind
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
@@ -211,21 +213,8 @@ class NativeBackend:
 
     # -- scheme dispatch -----------------------------------------------------
 
-    @staticmethod
-    def _kind(scheme) -> str | None:
-        # exact type checks: a subclass may override ``distance``/``query``
-        # semantics, which the C side knows nothing about
-        from repro.core.freedman import FreedmanScheme
-        from repro.core.hld import HLDScheme
-
-        if type(scheme) is HLDScheme:
-            return "hld"
-        if type(scheme) is FreedmanScheme:
-            return "freedman"
-        return None
-
-    def tier_for(self, scheme, op: str = "batch_query") -> str:
-        return "native" if self._kind(scheme) else "python"
+    def tier_for(self, scheme) -> str:
+        return "native" if _kind(scheme) else "python"
 
     # -- store marshalling ---------------------------------------------------
 
@@ -268,9 +257,9 @@ class NativeBackend:
 
     # -- fused entry points --------------------------------------------------
 
-    def batch_query(self, store, scheme, pairs, parsed=None):
+    def batch_query(self, store, scheme, pairs):
         """Distances for ``pairs`` straight from the packed store, or ``None``."""
-        kind = self._kind(scheme)
+        kind = _kind(scheme)
         if kind is None or not pairs:
             return None
         n_total = store.n
@@ -301,9 +290,9 @@ class NativeBackend:
             return None
         return ffi.unpack(out, len(pairs))
 
-    def matrix_flat(self, store, scheme, targets, labels=None):
+    def matrix_flat(self, store, scheme, targets):
         """Flat row-major all-pairs matrix over ``targets``, or ``None``."""
-        kind = self._kind(scheme)
+        kind = _kind(scheme)
         size = len(targets)
         if kind is None or size == 0 or size > _MAX_MATRIX_SIDE:
             return None
@@ -333,7 +322,7 @@ class NativeBackend:
         Matches :func:`repro.kernels.python_tier.fold_checksum` bit for bit;
         equal checksums certify the C decoder read every field identically.
         """
-        kind = self._kind(scheme)
+        kind = _kind(scheme)
         if kind is None or not nodes:
             return None
         n_total = store.n

@@ -14,6 +14,11 @@ _FNV_PRIME = 1099511628211
 
 
 def _kind(scheme) -> str | None:
+    """``"hld"``/``"freedman"`` for the families with a native decoder, else ``None``.
+
+    Exact type checks: a subclass may override ``distance``/``query``
+    semantics, which the C side knows nothing about.
+    """
     from repro.core.freedman import FreedmanScheme
     from repro.core.hld import HLDScheme
 
@@ -75,13 +80,13 @@ class PythonBackend:
     #: effectively infinite — the engine never routes through this backend
     min_batch = 1 << 62
 
-    def tier_for(self, scheme, op: str = "batch_query") -> str:
+    def tier_for(self, scheme) -> str:
         return "python"
 
-    def batch_query(self, store, scheme, pairs, parsed=None):
+    def batch_query(self, store, scheme, pairs):
         return None
 
-    def matrix_flat(self, store, scheme, targets, labels=None):
+    def matrix_flat(self, store, scheme, targets):
         return None
 
     def varint_many(self, data, start, count):

@@ -21,12 +21,10 @@ paper's model implies (distribute the labels, discard the tree).
 
 :class:`QueryEngine`
     answers distance queries against a store through the unified
-    ``scheme.query`` interface, caching parsed labels (LRU) and providing
-    ``batch_distance``/``distance_matrix`` fast paths that parse each label
-    once per batch instead of once per query.  Two serving-layer hooks ride
-    on it: an opt-in hot-pair response cache (``pair_cache_size`` /
-    ``enable_pair_cache``) that answers repeated ``{u, v}`` pairs without
-    touching the labels, and the executor-safe ``matrix_into`` flat-matrix
+    ``scheme.query`` interface.  ``batch_distance``/``distance_matrix`` go
+    to the fused kernel tier (:mod:`repro.kernels`) first; what it declines
+    parses each label once per batch, and single queries go through an LRU
+    of parsed labels.  ``matrix_into`` is the executor-safe flat-matrix
     path the network server offloads MATRIX requests through.
 
 Binary format (version 1)

@@ -1,11 +1,18 @@
 """Query serving on top of a :class:`repro.store.LabelStore`.
 
-The engine is decoder-only: it sees packed bits, never the tree.  Parsing a
-label (packed word -> label object) dominates CPython query cost, so the
-engine keeps a bounded LRU cache of parsed labels and offers batch entry
-points that parse each distinct endpoint exactly once.
+The engine is decoder-only: it sees packed bits, never the tree.  Batches
+and matrices go to the active kernel backend (:mod:`repro.kernels`) first;
+for hld-fixed and Freedman the native tier decodes and answers straight
+from :meth:`LabelStore.buffers`, with no Python-side parse at all.
 
-The batch supply path is zero-string end to end: the store yields
+Everything the kernel declines — other scheme families, the packed-Python
+floor, small batches, out-of-range nodes — runs through the scheme's own
+``parse``/``parse_many``.  Parsing a label dominates CPython query cost
+there, so the engine keeps a bounded LRU cache of parsed labels for
+:meth:`QueryEngine.query` and the Python batch path, which parses each
+distinct endpoint exactly once.
+
+The supply path is zero-string end to end: the store yields
 ``(node, packed_value, bit_length)`` words (:meth:`LabelStore.label_words`)
 and the scheme's ``parse_many`` turns them into label objects — no
 character-per-bit strings, and for schemes with a word-level parser no
@@ -40,12 +47,9 @@ class QueryEngine:
         store: LabelStore,
         scheme=None,
         cache_size: int = 4096,
-        pair_cache_size: int = 0,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be at least 1")
-        if pair_cache_size < 0:
-            raise ValueError("pair_cache_size must be non-negative")
         self.store = store
         self.scheme = scheme if scheme is not None else store.make_scheme()
         self._cache: OrderedDict[int, object] = OrderedDict()
@@ -53,16 +57,6 @@ class QueryEngine:
         #: parsed-label cache statistics, exposed for benchmarks and tuning
         self.cache_hits = 0
         self.cache_misses = 0
-        # -- hot-pair response cache (opt-in) ----------------------------
-        # Keyed by (min(u, v), max(u, v)): every scheme family here answers
-        # symmetrically, so one entry serves both orientations.  Disabled by
-        # default — in-process batch callers rarely repeat exact pairs — and
-        # switched on by the network server, whose Zipf-shaped traffic
-        # repeats a hot pair set heavily.
-        self._pair_cache: OrderedDict[tuple[int, int], object] = OrderedDict()
-        self._pair_cache_size = pair_cache_size
-        self.pair_hits = 0
-        self.pair_misses = 0
 
     @classmethod
     def from_labels(cls, scheme, labels: dict[int, object], **kwargs) -> "QueryEngine":
@@ -132,20 +126,6 @@ class QueryEngine:
 
     def query(self, u: int, v: int):
         """One query; result semantics follow ``scheme.kind``."""
-        if self._pair_cache_size:
-            pair_cache = self._pair_cache
-            key = (u, v) if u <= v else (v, u)
-            answer = pair_cache.get(key, _MISSING)
-            if answer is not _MISSING:
-                pair_cache.move_to_end(key)
-                self.pair_hits += 1
-                return answer
-            self.pair_misses += 1
-            answer = self.scheme.query(self.parsed_label(u), self.parsed_label(v))
-            pair_cache[key] = answer
-            if len(pair_cache) > self._pair_cache_size:
-                pair_cache.popitem(last=False)
-            return answer
         return self.scheme.query(self.parsed_label(u), self.parsed_label(v))
 
     def distance(self, u: int, v: int):
@@ -153,90 +133,28 @@ class QueryEngine:
         return self.query(u, v)
 
     def batch_query(self, pairs: Sequence[tuple[int, int]]) -> list:
-        """Answer many queries, parsing each distinct endpoint once.
+        """Answer many queries, parsing each distinct endpoint at most once.
 
-        With the hot-pair cache enabled, cached pairs are answered without
-        touching the label layer at all and only the remaining pairs go
-        through the batched parse.
-
-        Large batches route through the active kernel backend
-        (:mod:`repro.kernels`) when it supports the scheme: the parse/cache
-        bookkeeping above is identical either way (so counters, warming and
-        eviction match the packed-Python path exactly), only the per-pair
-        query loop is fused.  A backend that declines (``None``) falls
-        through to the Python loop.
+        A batch of at least ``min_batch`` pairs goes to the active kernel
+        backend first, which answers it straight from the packed store
+        without touching the parse cache.  A backend that declines
+        (``None``: unsupported scheme, the Python floor, an out-of-range
+        node) sends the batch down the Python path: one ``_parse_batch``
+        through the LRU, then ``scheme.query`` per pair — which also raises
+        the reference error for a bad node.
         """
         pairs = list(pairs)
         if not pairs:
             return []
-        if self._pair_cache_size:
-            return self._batch_query_cached(pairs)
-        us, vs = zip(*pairs)
-        parsed = self._parse_batch(us + vs)
         backend = kernels.backend()
         if len(pairs) >= backend.min_batch:
-            fused = backend.batch_query(self.store, self.scheme, pairs, parsed=parsed)
+            fused = backend.batch_query(self.store, self.scheme, pairs)
             if fused is not None:
                 return fused
+        us, vs = zip(*pairs)
+        parsed = self._parse_batch(us + vs)
         query = self.scheme.query
         return [query(parsed[u], parsed[v]) for u, v in pairs]
-
-    def _batch_query_cached(self, pairs: list[tuple[int, int]]) -> list:
-        """The :meth:`batch_query` body when the hot-pair cache is on.
-
-        A pair repeated inside one batch is computed once; hit/miss
-        accounting matches the one-lookup-per-request semantics the server's
-        STATS report (a within-batch repeat of a missing pair counts as a
-        hit — it was served from the freshly cached answer).
-        """
-        pair_cache = self._pair_cache
-        promote = pair_cache.move_to_end
-        answered: dict[tuple[int, int], object] = {}
-        keys: list[tuple[int, int]] = []
-        missing: list[tuple[int, int]] = []
-        hits = 0
-        for u, v in pairs:
-            key = (u, v) if u <= v else (v, u)
-            keys.append(key)
-            if key in answered:
-                hits += 1
-                continue
-            cached = pair_cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                # promote on hit: the server's coalescer only ever queries
-                # through this path, so skipping promotion here would turn
-                # the "LRU" into insertion-order FIFO and churn the hot set
-                promote(key)
-                hits += 1
-                answered[key] = cached
-            else:
-                missing.append(key)
-                answered[key] = _MISSING  # placeholder: computed below
-        self.pair_hits += hits
-        if missing:
-            self.pair_misses += len(missing)
-            us, vs = zip(*missing)
-            parsed = self._parse_batch(us + vs)
-            backend = kernels.backend()
-            fused = (
-                backend.batch_query(self.store, self.scheme, missing, parsed=parsed)
-                if len(missing) >= backend.min_batch
-                else None
-            )
-            if fused is not None:
-                for key, answer in zip(missing, fused):
-                    answered[key] = answer
-            else:
-                query = self.scheme.query
-                for key in missing:
-                    answered[key] = query(parsed[key[0]], parsed[key[1]])
-            pair_cache.update((key, answered[key]) for key in missing)
-            overflow = len(pair_cache) - self._pair_cache_size
-            if overflow > 0:
-                pop = pair_cache.popitem
-                for _ in range(overflow):
-                    pop(last=False)
-        return [answered[key] for key in keys]
 
     def batch_distance(self, pairs: Sequence[tuple[int, int]]) -> list:
         """Alias of :meth:`batch_query` for the common exact-scheme case."""
@@ -249,65 +167,15 @@ class QueryEngine:
     ) -> list[list]:
         """All pairwise answers over ``nodes`` (default: every node).
 
-        Every scheme in this library answers symmetrically, so by default
-        only the upper triangle is computed and the lower triangle is
-        mirrored — roughly halving matrix time.  Pass
-        ``assume_symmetric=False`` to force the full entry-by-entry
-        computation (e.g. for a custom scheme with asymmetric semantics).
-
-        Each label is parsed once.  When the target set is larger than the
-        cache, labels are parsed into a local list that bypasses the LRU
-        entirely: inserting them would evict every warm entry without any of
-        the parses ever being a cache hit, and later misses on the evicted
-        nodes would be counted twice.  Cached labels are still reused
-        (without promotion).
+        The row split of :meth:`matrix_into`, so it shares that method's
+        contract: a fused kernel fill when the backend supports the scheme,
+        otherwise each distinct label parsed once, and the engine (cache
+        and counters) left untouched either way.
         """
         targets = list(range(self.store.n)) if nodes is None else list(nodes)
-        if len(targets) <= self._cache_size:
-            by_node = self._parse_batch(targets)
-            parsed = [by_node[node] for node in targets]
-        else:
-            cache_get = self._cache.get
-            seen: set[int] = set()
-            missing: list[int] = []
-            for node in targets:
-                if cache_get(node, _MISSING) is _MISSING and node not in seen:
-                    missing.append(node)
-                    seen.add(node)
-            local: dict[int, object] = {}
-            if missing:
-                self.cache_misses += len(missing)
-                local = self.scheme.parse_many(self.store, missing)
-            parsed = []
-            for node in targets:
-                label = cache_get(node, _MISSING)
-                if label is not _MISSING:
-                    self.cache_hits += 1
-                else:
-                    label = local[node]
-                parsed.append(label)
-        query = self.scheme.query
-        if not assume_symmetric:
-            return [[query(a, b) for b in parsed] for a in parsed]
-        size = len(parsed)
-        if size >= 2:
-            # fused O(n²) fill; the parse/cache bookkeeping above already
-            # matched the Python path, so only the loop below is replaced
-            flat = kernels.backend().matrix_flat(
-                self.store, self.scheme, targets, labels=parsed
-            )
-            if flat is not None:
-                return [flat[row * size : (row + 1) * size] for row in range(size)]
-        matrix: list[list] = [[0] * size for _ in range(size)]
-        for i in range(size):
-            label_i = parsed[i]
-            row = matrix[i]
-            row[i] = query(label_i, label_i)
-            for j in range(i + 1, size):
-                answer = query(label_i, parsed[j])
-                row[j] = answer
-                matrix[j][i] = answer
-        return matrix
+        flat = self.matrix_into(targets, assume_symmetric=assume_symmetric)
+        size = len(targets)
+        return [flat[row * size : (row + 1) * size] for row in range(size)]
 
     def matrix_into(
         self,
@@ -318,30 +186,32 @@ class QueryEngine:
         """All pairwise answers over ``nodes``, flat row-major, executor-safe.
 
         This is the entry point the network server offloads MATRIX requests
-        to a worker thread through, so unlike :meth:`distance_matrix` it
-        **never mutates the engine**: parsed labels come from read-only
-        cache lookups (no LRU promotion, no insertion, no counter updates)
-        with misses parsed into a local dict, and the result is appended to
-        ``out`` (or a fresh list) as one flat row-major sequence — exactly
-        the shape the wire protocol carries, skipping the row-list build and
-        re-flatten.  Safe to run concurrently with event-loop queries on
+        to a worker thread through, so it **never mutates the engine**:
+        parsed labels come from read-only cache lookups (no LRU promotion,
+        no insertion, no counter updates) with misses parsed into a local
+        dict, and the result is appended to ``out`` (or a fresh list) as one
+        flat row-major sequence — exactly the shape the wire protocol
+        carries.  Safe to run concurrently with event-loop queries on
         another thread; the trade-off is that a matrix never warms any
         cache.
+
+        Every scheme in this library answers symmetrically, so by default
+        only the upper triangle is computed and the lower triangle is
+        mirrored.  Pass ``assume_symmetric=False`` to force the full
+        entry-by-entry computation (e.g. for a custom scheme with
+        asymmetric semantics).
         """
         targets = list(range(self.store.n)) if nodes is None else list(nodes)
+        flat = [] if out is None else out
         if assume_symmetric and len(targets) >= 2:
             # fused kernel fill: reads only the immutable store (not even
             # the cache), so the never-mutates contract holds trivially; a
             # backend that declines falls through to the Python path (which
             # also raises the proper error for out-of-range targets)
-            flat_fused = kernels.backend().matrix_flat(
-                self.store, self.scheme, targets
-            )
-            if flat_fused is not None:
-                if out is None:
-                    return list(flat_fused)
-                out.extend(flat_fused)
-                return out
+            fused = kernels.backend().matrix_flat(self.store, self.scheme, targets)
+            if fused is not None:
+                flat.extend(fused)
+                return flat
         cache_get = self._cache.get
         # one cache lookup per distinct node: the event loop may evict
         # entries concurrently, so a second lookup could miss where the
@@ -357,15 +227,14 @@ class QueryEngine:
         if missing:
             by_node.update(self.scheme.parse_many(self.store, missing))
         parsed = [by_node[node] for node in targets]
-        flat = [] if out is None else out
         query = self.scheme.query
-        size = len(parsed)
         if not assume_symmetric:
             for label_i in parsed:
                 for label_j in parsed:
                     flat.append(query(label_i, label_j))
             return flat
         # upper triangle once, mirrored through a local row matrix
+        size = len(parsed)
         rows: list[list] = [[0] * size for _ in range(size)]
         for i in range(size):
             label_i = parsed[i]
@@ -381,49 +250,20 @@ class QueryEngine:
 
     # -- cache management ----------------------------------------------------
 
-    def enable_pair_cache(self, size: int) -> None:
-        """Switch the hot-pair response cache on (or resize it).
-
-        The network server calls this on lazily opened catalog members, so
-        the cache can be a serving-layer decision without threading a
-        constructor argument through every open path.  Shrinking evicts
-        oldest entries; ``size=0`` disables and clears.
-        """
-        if size < 0:
-            raise ValueError("pair cache size must be non-negative")
-        self._pair_cache_size = size
-        overflow = len(self._pair_cache) - size
-        if overflow > 0:
-            pop = self._pair_cache.popitem
-            for _ in range(overflow):
-                pop(last=False)
-
-    def pair_cache_info(self) -> dict:
-        """Hit/miss counters and occupancy of the hot-pair response cache."""
-        lookups = self.pair_hits + self.pair_misses
-        return {
-            "enabled": bool(self._pair_cache_size),
-            "hits": self.pair_hits,
-            "misses": self.pair_misses,
-            "hit_rate": round(self.pair_hits / lookups, 4) if lookups else 0.0,
-            "size": len(self._pair_cache),
-            "max_size": self._pair_cache_size,
-        }
-
     def cache_info(self) -> dict:
         """Hit/miss counters and current occupancy of the parsed-label cache.
 
-        ``hit_rate`` is the lifetime fraction of lookups served from the
-        cache (0.0 before any lookup) — the steady-state serving signal the
-        network server reports per member and the warm-cache benchmark
-        records.  ``backend`` is the kernel tier answering this engine's
-        batched queries (``native``/``numpy``/``python``; see
-        :mod:`repro.kernels`) — per scheme, so an engine whose scheme has no
-        native kernel honestly reports ``python`` even when the native tier
-        is loaded.
+        The cache serves :meth:`query` and the Python batch path only: a
+        batch the kernel backend answers, and every matrix, leaves these
+        counters untouched.  ``hit_rate`` is therefore the lifetime fraction
+        of *those* lookups served from the cache (0.0 before any lookup).
+        ``backend`` is the kernel tier answering this engine's batched
+        queries (``native``/``python``; see :mod:`repro.kernels`) — per
+        scheme, so an engine whose scheme has no native kernel honestly
+        reports ``python`` even when the native tier is loaded.
         """
         lookups = self.cache_hits + self.cache_misses
-        info = {
+        return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "hit_rate": round(self.cache_hits / lookups, 4) if lookups else 0.0,
@@ -431,15 +271,9 @@ class QueryEngine:
             "max_size": self._cache_size,
             "backend": kernels.backend().tier_for(self.scheme),
         }
-        if self._pair_cache_size:
-            info["pair_cache"] = self.pair_cache_info()
-        return info
 
     def clear_cache(self) -> None:
-        """Drop all parsed labels and cached pair answers (counters included)."""
+        """Drop all parsed labels (counters included)."""
         self._cache.clear()
         self.cache_hits = 0
         self.cache_misses = 0
-        self._pair_cache.clear()
-        self.pair_hits = 0
-        self.pair_misses = 0

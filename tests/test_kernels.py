@@ -1,11 +1,10 @@
 """Tier selection, graceful degradation and cross-tier differentials.
 
-The :mod:`repro.kernels` contract is that every tier — native C, numpy,
-packed Python — returns **byte-identical answers** (a fused kernel that
-cannot honour that declines with ``None`` and the caller falls back), and
-that tier selection degrades gracefully: a missing compiler, a corrupt
-shared library or an absent numpy must never break a query, only change
-which tier answers it.  These tests force each tier through
+The :mod:`repro.kernels` contract is that every tier — native C and packed
+Python — returns **byte-identical answers** (a fused kernel that cannot
+honour that declines with ``None`` and the caller falls back), and that
+tier selection degrades gracefully: a missing compiler or a corrupt shared
+library must never break a query, only change which tier answers it.  These tests force each tier through
 ``REPRO_KERNELS``, sabotage the native library through
 ``REPRO_KERNELS_LIB``, and run hypothesis differentials of
 ``batch_query``/``matrix_into`` across every registered scheme spec.
@@ -87,11 +86,12 @@ def test_probe_shape_and_python_floor():
 
 
 def test_unknown_env_value_falls_back_to_automatic():
-    with forced_tier("fortran"):
-        probed = kernels.probe(full=True)
-        assert probed["requested"] is None
-        assert "unknown" in probed["note"]
-        assert probed["selected"] in kernels.TIER_ORDER
+    for value in ("fortran", "numpy"):  # numpy named a tier that was removed
+        with forced_tier(value):
+            probed = kernels.probe(full=True)
+            assert probed["requested"] is None
+            assert "unknown" in probed["note"]
+            assert probed["selected"] in kernels.TIER_ORDER
 
 
 def test_partial_probe_skips_tiers_below_forced_floor():
@@ -100,14 +100,13 @@ def test_partial_probe_skips_tiers_below_forced_floor():
         probed = kernels.probe()
         assert probed["selected"] == "python"
         assert probed["tiers"]["native"]["available"] is None
-        assert probed["tiers"]["numpy"]["available"] is None
         # a later full probe upgrades the cached result
         full = kernels.probe(full=True)
         assert full["tiers"]["python"]["available"] is True
         assert full["selected"] == "python"
 
 
-@pytest.mark.parametrize("tier", ["native", "numpy", "python"])
+@pytest.mark.parametrize("tier", ["native", "python"])
 def test_forcing_each_available_tier_selects_it(tier):
     if tier not in available_tiers():
         pytest.skip(f"{tier} tier not available in this environment")
@@ -130,7 +129,7 @@ def test_missing_native_library_degrades(tmp_path, monkeypatch):
     kernels.reset()
     probed = kernels.probe(full=True)
     assert probed["tiers"]["native"]["available"] is False
-    assert probed["selected"] in ("numpy", "python")
+    assert probed["selected"] == "python"
 
 
 def test_corrupt_native_library_degrades(tmp_path, monkeypatch):
@@ -140,14 +139,14 @@ def test_corrupt_native_library_degrades(tmp_path, monkeypatch):
     kernels.reset()
     probed = kernels.probe(full=True)
     assert probed["tiers"]["native"]["available"] is False
-    assert probed["selected"] in ("numpy", "python")
+    assert probed["selected"] == "python"
 
 
 def test_forced_unavailable_tier_degrades_with_note(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS_LIB", str(tmp_path / "nowhere.so"))
     with forced_tier("native"):
         probed = kernels.probe(full=True)
-        assert probed["selected"] in ("numpy", "python")
+        assert probed["selected"] == "python"
         assert "degraded" in probed["note"]
         # queries still answer correctly through the degraded tier
         tree = make_tree("random", 64, seed=3)
@@ -195,22 +194,46 @@ def test_all_specs_identical_across_tiers(tree):
             )
 
 
-def test_cache_counters_identical_across_tiers():
-    """Fused kernels replace only the query loop, never the bookkeeping."""
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_fused_paths_leave_cache_info_unchanged(spec):
+    """A batch or matrix the kernel answers never touches the parse LRU."""
+    if "native" not in available_tiers():
+        pytest.skip("native tier not available in this environment")
     tree = make_tree("random", 200, seed=47)
-    scheme = make_scheme_from_spec("hld-fixed")
-    store = LabelStore.encode_tree(scheme, tree)
+    store = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
     pairs = random_pairs(tree, 400, seed=53)
-    infos = {}
+    with forced_tier("native"):
+        engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+        engine.query(0, 1)  # some prior LRU state the fused calls must keep
+        before = engine.cache_info()
+        assert before["backend"] == "native"
+        engine.batch_query(pairs)
+        engine.distance_matrix(list(range(60)))
+        engine.matrix_into(list(range(60)))
+        assert engine.cache_info() == before
+
+
+def _pairs_with(bad_node: int, count: int = 32) -> list[tuple[int, int]]:
+    """``count`` in-range pairs (past every ``min_batch``) plus one bad one."""
+    return [(i, i + 1) for i in range(count)] + [(3, bad_node)]
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_out_of_range_node_raises_on_every_tier(spec):
+    """The kernel declines a bad node; the Python path then raises."""
+    tree = make_tree("random", 100, seed=71)
+    store = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
     for tier in available_tiers():
         with forced_tier(tier):
-            engine = QueryEngine(store, scheme=make_scheme_from_spec("hld-fixed"))
-            engine.batch_query(pairs)
-            engine.batch_query(pairs)
-            info = engine.cache_info()
-            assert info.pop("backend") == tier
-            infos[tier] = info
-    assert len({tuple(sorted(info.items())) for info in infos.values()}) == 1
+            engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+            for bad in (-1, tree.n):
+                with pytest.raises(StoreError):
+                    engine.batch_query(_pairs_with(bad))
+                nodes = [0, 5, bad, 9]
+                with pytest.raises(StoreError):
+                    engine.matrix_into(nodes)
+                with pytest.raises(StoreError):
+                    engine.distance_matrix(nodes)
 
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])

@@ -5,8 +5,6 @@ addition or removal must touch this file too, keeping changes to the public
 surface deliberate.
 """
 
-import warnings
-
 import pytest
 
 import repro
@@ -68,18 +66,11 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
-    def test_deprecated_shims_warn_but_work(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            store_cls = repro.LabelStore
-            engine_cls = repro.QueryEngine
-        from repro.store import LabelStore, QueryEngine
-
-        assert store_cls is LabelStore and engine_cls is QueryEngine
-        assert all(
-            issubclass(entry.category, DeprecationWarning) for entry in caught
-        )
-        assert len(caught) >= 2
+    def test_store_classes_live_only_in_repro_store(self):
+        for name in ("LabelStore", "QueryEngine"):
+            assert name not in repro.__all__
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

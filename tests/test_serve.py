@@ -396,7 +396,8 @@ def test_max_batch_bounds_coalescer(catalog, tree):
 def test_concurrent_tasks_share_lazy_members_and_cache(catalog, tree):
     """The satellite concurrency check: several asyncio tasks hammer the
     server at once; catalog members open lazily under that concurrency and
-    every member's parsed-label LRU serves all tasks."""
+    the parsed-label LRU of every member the kernel tier declines serves
+    all tasks."""
     task_count = 6
     per_task = 120
     names = ["exact", "bounded", "approx"]
@@ -430,8 +431,9 @@ def test_concurrent_tasks_share_lazy_members_and_cache(catalog, tree):
             assert all(fresh.is_open(name) for name in names)
             for name in names:
                 cache = fresh.index(name).engine.cache_info()
-                assert cache["hits"] > 0, name
-                assert 0.0 < cache["hit_rate"] <= 1.0
+                if cache["backend"] == "python":  # no fused kernel: LRU path
+                    assert cache["hits"] > 0, name
+                    assert 0.0 < cache["hit_rate"] <= 1.0
             stats = await client.stats()
             assert stats["queries"] == task_count * per_task
             assert stats["mean_batch_size"] > 1.0  # cross-task coalescing
