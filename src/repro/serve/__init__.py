@@ -23,7 +23,9 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   store through the fleet one drained worker at a time, and SIGTERM
   propagates a drain-then-exit shutdown with fleet-merged statistics;
 * :class:`LabelClient` / :class:`AsyncLabelClient`
-  (:mod:`repro.serve.client`) — blocking and asyncio clients with
+  (:mod:`repro.serve.client`) — a blocking and an asyncio driver over one
+  I/O-free protocol core (``ClientCore``: framing, response outcomes,
+  routing state, retry budgets and the pipeline round policy), with
   connection reuse, request pipelining, transparent BUSY
   retry-with-jitter and reconnect-on-EOF (a dropped worker is a retryable
   event, not an error), returning the same typed

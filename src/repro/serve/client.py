@@ -1,12 +1,15 @@
-"""Clients for the :mod:`repro.serve` wire protocol.
+"""Clients for the :mod:`repro.serve` wire protocol: one core, two drivers.
 
-Two flavours over one protocol:
+:class:`ClientCore` makes every protocol decision and does no I/O (the
+sans-IO pattern, https://sans-io.readthedocs.io/): request and trace ids,
+the frame decoder and the mapping from response op to answer or error, the
+frame builders and result finishers, the member-routing state, and the
+BUSY, reconnect and pipeline-round retry budgets.  Bytes go in; outcomes,
+frames and retry decisions come out.  Two drivers move the bytes:
 
 :class:`LabelClient`
-    blocking sockets, no event loop — scripts, REPLs and tests.  One
-    connection is reused across calls; :meth:`LabelClient.pipeline` keeps a
-    window of QUERY requests in flight so a single connection can saturate
-    the server's micro-batching coalescer.
+    one reused blocking socket and ``time.sleep`` — scripts, REPLs, tests,
+    and threads that already run an event loop.
 
 :class:`AsyncLabelClient`
     asyncio streams with a background reader task; any number of requests
@@ -17,6 +20,8 @@ Both return the same typed :class:`repro.api.QueryResult` values as the
 in-process :class:`DistanceIndex` — the wire carries the result *kind* and
 ratio bound, so exact, k-distance and approximate schemes round-trip with
 their semantics intact.  Pass ``raw=True`` for the native values.
+``pipeline`` keeps a window of QUERY requests in flight so one connection
+can saturate the server's micro-batching coalescer.
 
 Backpressure: an overloaded server sheds QUERY/MATRIX requests with
 ``OP_BUSY`` instead of queueing them.  Both clients retry busy requests
@@ -40,9 +45,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import random
 import socket
 import time
+from operator import attrgetter
 
 from repro.api.result import QueryResult
 from repro.serve import protocol
@@ -84,6 +91,9 @@ class ServerMoved(ServerError):
 
 _BEYOND = QueryResult(None, False, False, None)
 
+#: request ops answered with an ``OP_RESULT`` value block
+_VALUE_OPS = frozenset({protocol.OP_QUERY, protocol.OP_BATCH, protocol.OP_MATRIX})
+
 
 def wrap_values(kind: int, ratio_bound: float | None, values: list) -> list:
     """Typed :class:`QueryResult` objects from one decoded value block."""
@@ -102,69 +112,60 @@ def _unwrap(payload, raw: bool) -> list:
     return values if raw else wrap_values(kind, ratio_bound, values)
 
 
-def _reshape(flat: list, size: int) -> list[list]:
-    """Row-major matrix rows from a flat MATRIX value block."""
-    return [flat[row * size : (row + 1) * size] for row in range(size)]
+def _outcome(op: int, payload):
+    """A response as its request's outcome: ``(op, payload)`` when answered,
+    else the :class:`ServerError` it stands for."""
+    if op == protocol.OP_BUSY:
+        return ServerBusy(payload)
+    if op == protocol.OP_ERROR:
+        return ServerError(payload)
+    if op == protocol.OP_MOVED:
+        return ServerMoved(*payload)
+    return op, payload
 
 
-async def _settle(future) -> None:
-    """Wait for ``future`` without raising; outcomes are collected later."""
-    try:
-        await future
-    except Exception:
-        pass
+class ClientCore:
+    """The protocol state and decisions of one client connection, no I/O.
 
-
-class LabelClient:
-    """Blocking client over one reused TCP connection."""
+    A *request* is a tuple ``(op, args, raw)``: :meth:`frame` renders it
+    under a request id, :meth:`finish` turns its answer into the caller's
+    value.
+    """
 
     def __init__(
         self,
-        host: str,
-        port: int,
         *,
-        timeout: float | None = 30.0,
         busy_retries: int = 8,
         busy_base_delay: float = 0.002,
         reconnect_retries: int = 8,
-        route: bool = False,
         route_retries: int = 3,
     ) -> None:
-        self._remote = (host, port)
-        self._timeout = timeout
-        self._sock = None
-        self._decoder = protocol.FrameDecoder()
-        self._ids = itertools.count(1)
-        self._unclaimed: dict[int, tuple] = {}
         self.busy_retries = busy_retries
         self.busy_base_delay = busy_base_delay
         self.reconnect_retries = reconnect_retries
-        #: lifetime count of BUSY responses this client retried
-        self.busy_retried = 0
-        #: lifetime count of connections re-established after a drop
-        self.reconnects = 0
-        #: member-aware routing (the ``routing`` feature): with ``route=True``
-        #: the client fetches the fleet's routing table from INFO and pins
-        #: per-member requests straight to the owning shard's direct port,
-        #: applying ``MOVED`` redirect hints when its table goes stale and
-        #: falling back to the shared address when routing cannot help
-        self.route = route
         self.route_retries = route_retries
-        self.route_redirects = 0  #: lifetime MOVED hints applied
-        self._route_table: dict | None = None
-        self._route_checked = False
-        self._route_pool: dict[tuple[str, int], "LabelClient"] = {}
-        self._route_overrides: dict[str, tuple[str, int]] = {}
-        #: when set, QUERY/BATCH frames carry the route-version suffix — the
-        #: marker that lets a sharded worker answer MOVED instead of serving
-        #: a member it does not own (routed leaf connections set this)
-        self._route_stamp: int | None = None
+        self.ids = itertools.count(1)
+        self.decoder = protocol.FrameDecoder()
         #: trace ids this client stamped on requests (``pipeline`` sampling
         #: and explicit ``trace_id=`` calls); random base so ids from many
         #: clients against one fleet don't collide
         self._trace_ids = itertools.count(random.getrandbits(48))
         self.traced_ids: list[int] = []
-        self._connect()
+        #: lifetime count of BUSY responses this client retried
+        self.busy_retried = 0
+        #: lifetime count of connections re-established after a drop
+        self.reconnects = 0
+        #: lifetime count of MOVED hints applied
+        self.route_redirects = 0
+        self.route_table: dict | None = None
+        self.route_checked = False
+        self.route_overrides: dict[str, tuple[str, int]] = {}
+        #: when set, QUERY/BATCH frames carry the route-version suffix — the
+        #: marker that lets a sharded worker answer MOVED instead of serving
+        #: a member it does not own (routed leaf connections set this)
+        self.route_stamp: int | None = None
+        self._framer_key: tuple | None = None
+        self._framer = None
 
     def next_trace_id(self) -> int:
         """A fresh client-unique trace id (also remembered in ``traced_ids``)."""
@@ -172,40 +173,347 @@ class LabelClient:
         self.traced_ids.append(trace_id)
         return trace_id
 
+    # -- bytes in: outcomes out -----------------------------------------------
+
+    def feed(self, data: bytes) -> list[tuple[int, object]]:
+        """``(request_id, outcome)`` for every response completed by ``data``."""
+        self.decoder.feed(data)
+        out = []
+        for body in self.decoder.frames():
+            op, request_id, payload = protocol.decode_response(body)
+            out.append((request_id, _outcome(op, payload)))
+        return out
+
+    def reconnected(self) -> None:
+        """A replacement connection: drop the old stream's partial frame."""
+        self.decoder = protocol.FrameDecoder()
+        self.reconnects += 1
+
+    # -- requests: frames out, values back ------------------------------------
+
+    def framer(self, name: str):
+        """The QUERY frame builder for ``name`` at the current route stamp
+        (kept for the next request to the same member)."""
+        key = (name, self.route_stamp)
+        if key != self._framer_key:
+            self._framer_key, self._framer = key, protocol.query_framer(*key)
+        return self._framer
+
+    def frame(self, request: tuple, request_id: int) -> bytes:
+        """``request``'s frame under ``request_id`` (fresh per attempt, so a
+        late answer to a shed attempt is never taken for the retry's)."""
+        op, args = request[0], request[1]
+        if op == protocol.OP_QUERY:
+            u, v, name, trace_id = args
+            return self.framer(name)(request_id, u, v, trace_id)
+        if op == protocol.OP_BATCH:
+            pairs, name, trace_id = args
+            return protocol.encode_batch(
+                request_id, pairs, name, trace_id, self.route_stamp
+            )
+        if op == protocol.OP_MATRIX:
+            return protocol.encode_matrix(request_id, *args)
+        if op == protocol.OP_STATS:
+            name, detail = args
+            return protocol.encode_stats(request_id, name, detail=detail)
+        if op == protocol.OP_TRACE:
+            limit, slow = args
+            return protocol.encode_trace_request(request_id, limit=limit, slow=slow)
+        return protocol.encode_info(request_id)
+
+    def finish(self, request: tuple, answer: tuple):
+        """The caller's value for ``request`` from its ``(op, payload)``."""
+        op, payload = request[0], answer[1]
+        if op not in _VALUE_OPS:
+            return payload  # STATS / TRACE / INFO: the JSON document
+        values = _unwrap(payload, request[2])
+        if op == protocol.OP_QUERY:
+            return values[0]
+        if op == protocol.OP_MATRIX:  # row-major; the side is read off the reply
+            side = math.isqrt(len(values))
+            return [values[row * side : (row + 1) * side] for row in range(side)]
+        return values
+
+    # -- retry budgets --------------------------------------------------------
+
+    def busy_delay(self, shed: ServerBusy, attempt: int) -> float:
+        """Backoff before re-sending a request shed ``attempt`` times in a row;
+        raises ``shed`` once that outruns ``busy_retries``."""
+        if attempt > self.busy_retries:
+            raise shed
+        self.busy_retried += 1
+        return _backoff_delay(attempt, shed.retry_after_ms, self.busy_base_delay)
+
+    def reconnect_delay(self, drops: int, refused: int, error: Exception) -> float:
+        """Backoff before the next dial after drop ``drops`` and ``refused``
+        refusals since; raises ``error`` once either outruns the budget.
+
+        Refusals are retried too: against a one-worker fleet there is a
+        window where the replacement worker has not bound yet.
+        """
+        if drops > self.reconnect_retries or refused > self.reconnect_retries:
+            raise error
+        return _backoff_delay(drops + refused, 1, self.busy_base_delay)
+
+    # -- member-aware routing -------------------------------------------------
+
+    def adopt_routing(self, table: dict | None) -> None:
+        """Work from ``table`` (``None``: the server publishes none)."""
+        self.route_checked = True
+        self.route_table = table
+        if table is not None:
+            self.route_stamp = int(table.get("version", 0))
+
+    def endpoint(self, name: str) -> tuple[str, int] | None:
+        """The direct endpoint of ``name``'s owner, if routing knows one."""
+        from repro.serve.routing import member_endpoint
+
+        endpoint = self.route_overrides.get(name)
+        if endpoint is None and self.route_table is not None:
+            endpoint = member_endpoint(self.route_table, name)
+        return endpoint
+
+    def _apply_moved(self, moved: ServerMoved) -> None:
+        """Adopt a MOVED hint: pin the member, advance the table version."""
+        self.route_redirects += 1
+        self.route_overrides[moved.member] = (moved.host, moved.port)
+        if self.route_stamp is None or moved.version > self.route_stamp:
+            self.route_stamp = moved.version
+
+
+class PipelineRun:
+    """The round policy of one ``pipeline`` call, with no I/O: each round
+    the driver sends :meth:`next_pass`'s frames and hands :meth:`settle`
+    each request's outcome, in order — its answer or the exception it met.
+    """
+
+    def __init__(
+        self, core: ClientCore, pairs: list, name: str, trace_every: int
+    ) -> None:
+        self.core = core
+        self.pairs = pairs
+        self.name = name
+        self.answers: list = [None] * len(pairs)
+        self.todo = list(range(len(pairs)))
+        self.trace_every = trace_every
+        self.stalled = 0  #: consecutive BUSY rounds that answered nothing
+        self.drops = 0  #: consecutive rounds that lost the connection
+
+    def next_pass(self) -> tuple[list, list]:
+        """Fresh ids and QUERY frames for this round (only the first round
+        samples trace ids: re-issued requests are never traced)."""
+        core = self.core
+        frame = core.framer(self.name)
+        trace_every, self.trace_every = self.trace_every, 0
+        ids = [next(core.ids) for _ in self.todo]
+        frames = []
+        for index, slot in enumerate(self.todo):
+            u, v = self.pairs[slot]
+            trace_id = (
+                core.next_trace_id() if trace_every and index % trace_every == 0 else None
+            )
+            frames.append(frame(ids[index], u, v, trace_id))
+        return ids, frames
+
+    def settle(self, outcomes: list, reconnectable: bool):
+        """Fold one pass's outcomes in; returns ``(delay, lost)``: sleep
+        ``delay``, and first reconnect if the connection was ``lost``.
+
+        Raises only after every outcome is collected: the first ERROR or
+        MOVED (a routed parent re-runs the window at the corrected
+        endpoint), a drop that cannot reconnect, or ``ServerBusy`` once
+        rounds that answered nothing outrun the budget.
+        """
+        busy: list[int] = []
+        dropped: list[int] = []
+        failure = lost = None
+        for slot, outcome in zip(self.todo, outcomes):
+            if isinstance(outcome, tuple):
+                self.answers[slot] = outcome[1]
+            elif isinstance(outcome, ServerBusy):
+                busy.append(slot)
+            elif reconnectable and isinstance(outcome, (ConnectionError, OSError)):
+                # unanswered when the connection died: safe to re-issue
+                dropped.append(slot)
+                lost = lost or outcome
+            elif failure is None:
+                failure = outcome
+        if failure is not None:
+            raise failure
+        self.drops = self.drops + 1 if dropped else 0
+        delay = 0.0
+        if busy:
+            # the retry budget counts *no-progress* rounds: an
+            # overloaded-but-live server answers a few requests per round
+            # and the pipeline keeps converging, while a server shedding
+            # everything exhausts the budget and raises
+            progress = len(busy) + len(dropped) < len(self.todo)
+            self.stalled = 0 if progress else self.stalled + 1
+            if self.stalled > self.core.busy_retries:
+                raise ServerBusy()
+            self.core.busy_retried += len(busy)
+            delay = _backoff_delay(self.stalled, 1, self.core.busy_base_delay)
+        self.todo = sorted(busy + dropped)
+        return delay, lost
+
+    def results(self, raw: bool) -> list:
+        """Every answer, in ``pairs`` order."""
+        return [_unwrap(payload, raw)[0] for payload in self.answers]
+
+
+class _Client:
+    """The request API shared by both drivers: each method builds a request
+    for the driver's ``_call`` (or ``_routed_call``), which on
+    :class:`AsyncLabelClient` are coroutines — every method returns an
+    awaitable there.
+
+    Options: ``route`` (member-aware routing, below) and the
+    :class:`ClientCore` budgets — ``busy_retries`` (8 BUSY retries per
+    request), ``busy_base_delay`` (0.002 s backoff base),
+    ``reconnect_retries`` (8 consecutive drops) and ``route_retries`` (3
+    MOVED redirects per call).
+    """
+
+    busy_retried = property(attrgetter("core.busy_retried"))
+    reconnects = property(attrgetter("core.reconnects"))
+    route_redirects = property(attrgetter("core.route_redirects"))
+    traced_ids = property(attrgetter("core.traced_ids"))
+    next_trace_id = property(attrgetter("core.next_trace_id"))
+
+    def __init__(self, *, route: bool = False, **budgets) -> None:
+        #: member-aware routing (the ``routing`` feature): with ``route=True``
+        #: the client fetches the fleet's routing table from INFO and pins
+        #: per-member requests straight to the owning shard's direct port,
+        #: applying ``MOVED`` redirect hints when its table goes stale and
+        #: falling back to the shared address when routing cannot help
+        self.route = route
+        self._budgets = budgets  # routed leaf connections inherit them
+        self.core = ClientCore(**budgets)
+
+    def _request(self, name: str, request: tuple):
+        if self.route:
+            return self._routed_call(name, lambda leaf: leaf._call(request))
+        return self._call(request)
+
+    def query(
+        self, u: int, v: int, *, name: str = "", raw: bool = False,
+        trace_id: int | None = None,
+    ):
+        """One distance query; a :class:`QueryResult` unless ``raw``.
+
+        ``trace_id`` stamps the request with the additive trace field: the
+        server records per-stage spans for it, retrievable via
+        :meth:`trace`.  Old servers ignore the field.
+        """
+        return self._request(name, (protocol.OP_QUERY, (u, v, name, trace_id), raw))
+
+    def batch(
+        self, pairs, *, name: str = "", raw: bool = False,
+        trace_id: int | None = None,
+    ):
+        """Answer many pairs with a single BATCH request."""
+        return self._request(
+            name, (protocol.OP_BATCH, (list(pairs), name, trace_id), raw)
+        )
+
+    def matrix(self, nodes=None, *, name: str = "", raw: bool = False):
+        """All pairwise answers over ``nodes`` (default: every node).
+
+        One MATRIX request: the side of the square is read off the reply.
+        """
+        nodes = None if nodes is None else list(nodes)
+        return self._request(name, (protocol.OP_MATRIX, (nodes, name), raw))
+
+    def stats(self, name: str = "", *, detail: bool = False):
+        """Server statistics (plus one member's cache stats when named).
+
+        ``detail=True`` asks for the latency/per-stage histogram snapshots
+        (and the raw reservoir) that fleet merging needs; plain polls should
+        leave it off.
+        """
+        return self._call((protocol.OP_STATS, (name, detail), False))
+
+    def trace(self, *, limit: int = 32, slow: bool = True):
+        """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
+        return self._call((protocol.OP_TRACE, (limit, slow), False))
+
+    def info(self):
+        """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
+        return self._call((protocol.OP_INFO, (), False))
+
+    def pipeline(
+        self,
+        pairs,
+        *,
+        name: str = "",
+        raw: bool = False,
+        window: int = 256,
+        trace_every: int = 0,
+    ):
+        """Issue one QUERY per pair, keeping up to ``window`` in flight.
+
+        This is the traffic shape the server's coalescer is built for: many
+        independent single-pair requests on the wire at once.  Answers come
+        back in ``pairs`` order regardless of the server's completion order.
+        Requests shed with BUSY, or left unanswered by a dropped connection,
+        are re-issued (only those) in later rounds with jittered backoff.
+
+        ``trace_every=N`` stamps every Nth request of the first pass with a
+        fresh trace id (collected in ``traced_ids``); the per-stage spans
+        can be fetched afterwards with :meth:`trace`.  Re-issued requests
+        are never traced.
+        """
+        pairs = list(pairs)
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        if self.route:
+            # the whole window goes to one member's owner; on a stale-table
+            # MOVED the full (read-only) window is re-asked at the corrected
+            # endpoint — at most one redirect per member per staleness event
+            return self._routed_call(
+                name,
+                lambda leaf: leaf.pipeline(
+                    pairs, name=name, raw=raw, window=window, trace_every=trace_every
+                ),
+            )
+        return self._pipeline(PipelineRun(self.core, pairs, name, trace_every), raw, window)
+
+
+class LabelClient(_Client):
+    """Blocking client over one reused TCP connection (options: see
+    :class:`_Client`)."""
+
+    def __init__(
+        self, host: str, port: int, *, timeout: float | None = 30.0, **options
+    ) -> None:
+        super().__init__(**options)
+        self._remote = (host, port)
+        self._timeout = timeout
+        self._sock = None
+        self._route_pool: dict[tuple[str, int], LabelClient] = {}
+        self._connect()
+
     def _connect(self) -> None:
         self._sock = socket.create_connection(self._remote, timeout=self._timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # a dropped connection invalidates everything in flight on it
-        self._decoder = protocol.FrameDecoder()
-        self._unclaimed.clear()
 
-    def _reconnect(self, drops: int) -> None:
-        """Re-establish the connection after drop number ``drops``.
-
-        Retries connection *refusals* too (against a one-worker fleet there
-        is a window where the replacement has not bound yet); the budget is
-        the caller's, this only spends backoff time.
-        """
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - already dead
-                pass
-            self._sock = None
-        attempt = drops
+    def _reconnect(self, drops: int, error: Exception) -> None:
+        """Replace the connection lost to ``error`` (drop number ``drops``)."""
+        delay = self.core.reconnect_delay(drops, 0, error)
+        self._close_socket()
+        refused = 0
         while True:
-            time.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
+            time.sleep(delay)
             try:
                 self._connect()
-            except OSError:
-                attempt += 1
-                if attempt - drops > self.reconnect_retries:
-                    raise
+            except OSError as refusal:
+                refused += 1
+                delay = self.core.reconnect_delay(drops, refused, refusal)
                 continue
-            self.reconnects += 1
+            self.core.reconnected()
             return
 
-    # -- context management --------------------------------------------------
+    # -- context management ---------------------------------------------------
 
     def __enter__(self) -> "LabelClient":
         return self
@@ -218,217 +526,94 @@ class LabelClient:
         pool, self._route_pool = self._route_pool, {}
         for leaf in pool.values():
             leaf.close()
+        self._close_socket()
+
+    def _close_socket(self) -> None:
         if self._sock is not None:
             try:
                 self._sock.close()
             finally:
                 self._sock = None
 
-    # -- member-aware routing --------------------------------------------------
-
-    def _ensure_routing(self) -> None:
-        """Fetch the fleet's routing table once (no table ⇒ shared address)."""
-        if self._route_checked:
-            return
-        self._route_checked = True
-        try:
-            self._route_table = self.info().get("routing")
-        except ServerError:  # pragma: no cover - defensive
-            self._route_table = None
-        if self._route_table is not None:
-            self._route_stamp = int(self._route_table.get("version", 0))
+    # -- member-aware routing -------------------------------------------------
 
     def routing_table(self) -> dict | None:
-        """The routing table this client is working from (fetched lazily)."""
-        self._ensure_routing()
-        return self._route_table
+        """The fleet's routing table, fetched once (no table ⇒ shared address)."""
+        if not self.core.route_checked:
+            try:
+                table = self.info().get("routing")
+            except ServerError:  # pragma: no cover - defensive
+                table = None
+            self.core.adopt_routing(table)
+        return self.core.route_table
 
-    def _make_leaf(self, host: str, port: int) -> "LabelClient":
-        leaf = LabelClient(
-            host,
-            port,
-            timeout=self._timeout,
-            busy_retries=self.busy_retries,
-            busy_base_delay=self.busy_base_delay,
-            reconnect_retries=self.reconnect_retries,
-        )
-        return leaf
-
-    def _leaf_for(self, name: str) -> "LabelClient | None":
-        """The pooled connection pinned to ``name``'s owning shard."""
-        from repro.serve.routing import member_endpoint
-
-        endpoint = self._route_overrides.get(name)
-        if endpoint is None and self._route_table is not None:
-            endpoint = member_endpoint(self._route_table, name)
-        if endpoint is None:
-            return None
+    def _leaf(self, endpoint: tuple[str, int], stamp: int | None) -> "LabelClient":
+        """The pooled connection to ``endpoint``, stamping with ``stamp``."""
         leaf = self._route_pool.get(endpoint)
         if leaf is None:
-            leaf = self._route_pool[endpoint] = self._make_leaf(*endpoint)
-        leaf._route_stamp = self._route_stamp
+            leaf = self._route_pool[endpoint] = LabelClient(
+                *endpoint, timeout=self._timeout, **self._budgets
+            )
+        leaf.core.route_stamp = stamp
         return leaf
 
-    def _apply_moved(self, moved: ServerMoved) -> None:
-        """Adopt a MOVED hint: pin the member, advance the table version."""
-        self.route_redirects += 1
-        self._route_overrides[moved.member] = (moved.host, moved.port)
-        if self._route_stamp is None or moved.version > self._route_stamp:
-            self._route_stamp = moved.version
-
     def _routed_call(self, name: str, call):
-        """Run ``call(client)`` against ``name``'s owner, following redirects.
+        """Run ``call(leaf)`` against ``name``'s owner, following redirects.
 
         Falls back to the shared address — with an *unstamped* leaf, which a
         sharded worker always serves in place — when there is no table, no
         owner endpoint, or the redirect budget is spent (a pathological
         routing loop must degrade to the legacy path, not fail).
         """
-        self._ensure_routing()
-        redirects = 0
-        while redirects <= self.route_retries:
-            leaf = self._leaf_for(name)
-            if leaf is None:
+        self.routing_table()
+        core = self.core
+        for _ in range(core.route_retries + 1):
+            endpoint = core.endpoint(name)
+            if endpoint is None:
                 break
             try:
-                return call(leaf)
+                return call(self._leaf(endpoint, core.route_stamp))
             except ServerMoved as moved:
-                self._apply_moved(moved)
-                redirects += 1
-        fallback = self._route_pool.get(self._remote)
-        if fallback is None:
-            fallback = self._route_pool[self._remote] = self._make_leaf(*self._remote)
-        fallback._route_stamp = None
-        return call(fallback)
+                core._apply_moved(moved)
+        return call(self._leaf(self._remote, None))
 
-    # -- plumbing ------------------------------------------------------------
+    # -- plumbing -------------------------------------------------------------
 
-    def _receive(self, request_id: int):
-        """The response for ``request_id`` (buffering any others seen first)."""
+    def _receive(self) -> list[tuple[int, object]]:
+        """The ``(request_id, outcome)`` pairs completed by the next chunk."""
+        chunk = self._sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        return self.core.feed(chunk)
+
+    def _send(self, request: tuple):
+        """One attempt of ``request``: its ``(op, payload)``, or the server's
+        error raised — no retry.  It is the only request in flight: every
+        pipeline pass reads all its answers or ends in a reconnect."""
+        request_id = next(self.core.ids)
+        self._sock.sendall(self.core.frame(request, request_id))
         while True:
-            claimed = self._unclaimed.pop(request_id, None)
-            if claimed is not None:
-                op, payload = claimed
-                if op == protocol.OP_BUSY:
-                    raise ServerBusy(payload)
-                if op == protocol.OP_ERROR:
-                    raise ServerError(payload)
-                if op == protocol.OP_MOVED:
-                    raise ServerMoved(*payload)
-                return op, payload
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            self._decoder.feed(chunk)
-            for body in self._decoder.frames():
-                op, seen_id, payload = protocol.decode_response(body)
-                self._unclaimed[seen_id] = (op, payload)
+            for seen_id, outcome in self._receive():
+                if seen_id == request_id:
+                    if isinstance(outcome, ServerError):
+                        raise outcome
+                    return outcome
 
-    def _roundtrip(self, frame_for_id):
-        """Send one request, retrying with backoff while the server is busy.
-
-        ``frame_for_id`` builds the frame from a request id — every retry
-        uses a fresh id so a late answer to a shed request can never be
-        confused with the retry's answer.  A dropped connection (worker
-        crash, rolling reload) is reconnected and the request re-sent.
-        """
-        attempt = 0
-        drops = 0
+    def _call(self, request: tuple):
+        """``request``'s value, retrying BUSY sheds and dropped connections."""
+        core = self.core
+        busy = drops = 0
         while True:
-            request_id = next(self._ids)
             try:
-                self._sock.sendall(frame_for_id(request_id))
-                return self._receive(request_id)
-            except ServerBusy as busy:
-                attempt += 1
-                if attempt > self.busy_retries:
-                    raise
-                self.busy_retried += 1
-                time.sleep(
-                    _backoff_delay(attempt, busy.retry_after_ms, self.busy_base_delay)
-                )
-            except (ConnectionError, OSError):
+                return core.finish(request, self._send(request))
+            except ServerBusy as shed:
+                busy += 1
+                time.sleep(core.busy_delay(shed, busy))
+            except (ConnectionError, OSError) as error:
                 if self._sock is None:  # deliberately closed, not a drop
                     raise
                 drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                self._reconnect(drops)
-
-    # -- requests ------------------------------------------------------------
-
-    def query(
-        self, u: int, v: int, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ):
-        """One distance query; a :class:`QueryResult` unless ``raw``.
-
-        ``trace_id`` stamps the request with the additive trace field: the
-        server records per-stage spans for it, retrievable via
-        :meth:`trace`.  Old servers ignore the field.
-        """
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.query(u, v, name=name, raw=raw, trace_id=trace_id)
-            )
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_query(
-                request_id, u, v, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)[0]
-
-    def batch(
-        self, pairs, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ) -> list:
-        """Answer many pairs with a single BATCH request."""
-        pairs = list(pairs)
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.batch(pairs, name=name, raw=raw, trace_id=trace_id)
-            )
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_batch(
-                request_id, pairs, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)
-
-    def matrix(self, nodes=None, *, name: str = "", raw: bool = False) -> list[list]:
-        """All pairwise answers over ``nodes`` (default: every node)."""
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.matrix(nodes, name=name, raw=raw)
-            )
-        if nodes is not None:
-            nodes = list(nodes)
-            size = len(nodes)
-        else:
-            size = self.info()["members"][name]["n"]
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_matrix(request_id, nodes, name)
-        )
-        return _reshape(_unwrap(payload, raw), size)
-
-    def stats(
-        self, name: str = "", *, detail: bool = False, reservoir: bool = False
-    ) -> dict:
-        """Server statistics (plus one member's cache stats when named).
-
-        ``detail=True`` asks for the latency/per-stage histogram snapshots
-        (and the raw reservoir) that fleet merging needs; plain polls should
-        leave it off.  ``reservoir=True`` is the historical alias for the
-        same detail flag.
-        """
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_stats(
-                request_id, name, reservoir=detail or reservoir
-            )
-        )
-        return payload
+                self._reconnect(drops, error)
 
     def stats_all(self, *, detail: bool = False) -> list[dict]:
         """STATS from this connection plus every routed leaf connection.
@@ -446,194 +631,57 @@ class LabelClient:
                 continue
         return payloads
 
-    def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
-        """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_trace_request(
-                request_id, limit=limit, slow=slow
-            )
-        )
-        return payload
+    def _pipeline(self, run: PipelineRun, raw: bool, window: int) -> list:
+        while run.todo:
+            outcomes = self._pipeline_pass(*run.next_pass(), window)
+            delay, lost = run.settle(outcomes, self._sock is not None)
+            if lost is not None:
+                self._reconnect(run.drops, lost)
+            if delay:
+                time.sleep(delay)
+        return run.results(raw)
 
-    def info(self) -> dict:
-        """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
-        _, payload = self._roundtrip(protocol.encode_info)
-        return payload
+    def _pipeline_pass(self, ids: list, frames: list, window: int) -> list:
+        """One windowed pass: one outcome per request, in order.
 
-    def pipeline(
-        self,
-        pairs,
-        *,
-        name: str = "",
-        raw: bool = False,
-        window: int = 256,
-        trace_every: int = 0,
-    ) -> list:
-        """Issue one QUERY per pair, keeping up to ``window`` in flight.
-
-        This is the traffic shape the server's coalescer is built for: many
-        independent single-pair requests on the wire at once.  Answers come
-        back in ``pairs`` order regardless of the server's completion order.
-        Requests shed with BUSY are re-issued (only those) in later rounds
-        with jittered backoff.
-
-        ``trace_every=N`` stamps every Nth request of the first pass with a
-        fresh trace id (collected in ``traced_ids``); the per-stage spans
-        can be fetched afterwards with :meth:`trace`.  Re-issued requests
-        (BUSY/reconnect rounds) are never traced.
+        A drop ends the pass early; the requests it left unanswered get the
+        connection error as their outcome, so only those are re-issued.
         """
-        pairs = list(pairs)
-        if self.route:
-            # the whole window goes to one member's owner; on a stale-table
-            # MOVED the full (read-only) window is re-asked at the corrected
-            # endpoint — at most one redirect per member per staleness event
-            return self._routed_call(
-                name,
-                lambda c: c.pipeline(
-                    pairs, name=name, raw=raw, window=window, trace_every=trace_every
-                ),
-            )
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        outcomes: list = [None] * len(pairs)
-        todo = list(range(len(pairs)))
-        attempt = 0
-        drops = 0
-        while todo:
-            sample, trace_every = trace_every, 0  # first pass only
-            try:
-                round_outcomes = self._pipeline_pass(
-                    [pairs[i] for i in todo], name, window, trace_every=sample
-                )
-            except (ConnectionError, OSError):
-                # dropped mid-pass (worker crash / rolling reload): reconnect
-                # and re-issue the unanswered rest — queries are read-only,
-                # so a request answered just before the drop is safe to lose
-                if self._sock is None:
-                    raise
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                self._reconnect(drops)
-                continue
-            drops = 0
-            busy: list[int] = []
-            for slot, (op, payload) in zip(todo, round_outcomes):
-                if op == protocol.OP_BUSY:
-                    busy.append(slot)
-                elif op == protocol.OP_ERROR:
-                    raise ServerError(payload)
-                elif op == protocol.OP_MOVED:
-                    # stale routing table: the caller (a routed parent)
-                    # re-runs the window against the corrected endpoint
-                    raise ServerMoved(*payload)
-                else:
-                    outcomes[slot] = payload
-            if busy:
-                # the retry budget counts *no-progress* rounds: an
-                # overloaded-but-live server answers a few requests per
-                # round and the pipeline keeps converging, while a server
-                # shedding everything exhausts the budget and raises
-                attempt = attempt + 1 if len(busy) == len(todo) else 0
-                if attempt > self.busy_retries:
-                    raise ServerBusy()
-                self.busy_retried += len(busy)
-                time.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-            todo = busy
-        return [_unwrap(payload, raw)[0] for payload in outcomes]
-
-    def _pipeline_pass(
-        self, pairs: list, name: str, window: int, trace_every: int = 0
-    ) -> list[tuple]:
-        """One windowed pass over ``pairs``; returns ``(op, payload)`` each."""
-        ids = [next(self._ids) for _ in pairs]
-        results: dict[int, tuple] = {}
+        results: dict[int, object] = {}
         sent = 0
-        backlog = bytearray()
-        for index, (u, v) in enumerate(pairs):
-            trace_id = (
-                self.next_trace_id()
-                if trace_every and index % trace_every == 0
-                else None
-            )
-            backlog += protocol.encode_query(
-                ids[index], u, v, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-            sent += 1
-            if sent - len(results) >= window or len(backlog) >= 65536:
-                self._sock.sendall(backlog)
-                backlog = bytearray()
-                while sent - len(results) >= window:
-                    self._drain_into(results)
-        if backlog:
-            self._sock.sendall(backlog)
-        while len(results) < len(pairs):
-            self._drain_into(results)
+        try:
+            while len(results) < len(ids):
+                if sent < len(ids) and sent - len(results) < window:
+                    # top the window up with one send
+                    end = min(len(ids), len(results) + window)
+                    self._sock.sendall(b"".join(frames[sent:end]))
+                    sent = end
+                else:
+                    results.update(self._receive())
+        except (ConnectionError, OSError) as error:
+            return [results.get(request_id, error) for request_id in ids]
         return [results[request_id] for request_id in ids]
 
-    def _drain_into(self, results: dict[int, tuple]) -> None:
-        chunk = self._sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        self._decoder.feed(chunk)
-        for body in self._decoder.frames():
-            op, request_id, payload = protocol.decode_response(body)
-            results[request_id] = (op, payload)
 
-
-class AsyncLabelClient:
-    """Asyncio client; responses are matched to requests by id."""
+class AsyncLabelClient(_Client):
+    """Asyncio client; responses are matched to requests by id (options:
+    see :class:`_Client`)."""
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        busy_retries: int = 8,
-        busy_base_delay: float = 0.002,
-        reconnect_retries: int = 8,
-        route: bool = False,
-        route_retries: int = 3,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, **options
     ) -> None:
+        super().__init__(**options)
         self._reader = reader
         self._writer = writer
-        self._decoder = protocol.FrameDecoder()
-        self._ids = itertools.count(1)
         self._waiting: dict[int, asyncio.Future] = {}
         self._broken: Exception | None = None
         #: remote address; set by :meth:`connect`.  Clients built from raw
         #: streams don't know it and keep the old fail-fast behaviour.
         self._remote: tuple[str, int] | None = None
         self._closed = False
-        self.busy_retries = busy_retries
-        self.busy_base_delay = busy_base_delay
-        self.reconnect_retries = reconnect_retries
-        #: member-aware routing (see :class:`LabelClient`): per-member
-        #: direct connections, MOVED hint handling, shared-address fallback
-        self.route = route
-        self.route_retries = route_retries
-        self.route_redirects = 0
-        self._route_table: dict | None = None
-        self._route_checked = False
-        self._route_pool: dict[tuple[str, int], "AsyncLabelClient"] = {}
-        self._route_overrides: dict[str, tuple[str, int]] = {}
-        self._route_stamp: int | None = None
-        self._route_fetch: asyncio.Future | None = None
-        #: lifetime count of BUSY responses this client retried
-        self.busy_retried = 0
-        #: lifetime count of connections re-established after a drop
-        self.reconnects = 0
-        #: trace ids this client stamped on requests (see ``next_trace_id``)
-        self._trace_ids = itertools.count(random.getrandbits(48))
-        self.traced_ids: list[int] = []
+        self._route_pool: dict[tuple[str, int], AsyncLabelClient] = {}
+        self._route_lock = asyncio.Lock()
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
-
-    def next_trace_id(self) -> int:
-        """A fresh client-unique trace id (also remembered in ``traced_ids``)."""
-        trace_id = next(self._trace_ids)
-        self.traced_ids.append(trace_id)
-        return trace_id
 
     @staticmethod
     async def _open(host: str, port: int):
@@ -658,8 +706,8 @@ class AsyncLabelClient:
         client._remote = (host, port)
         return client
 
-    async def _reconnect(self, drops: int) -> None:
-        """Replace the dropped connection (retrying refusals with backoff)."""
+    async def _close_stream(self) -> None:
+        """Stop the reader task and close the connection."""
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -670,15 +718,19 @@ class AsyncLabelClient:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):  # pragma: no cover - already dead
             pass
-        attempt = drops
+
+    async def _reconnect(self, drops: int, error: Exception) -> None:
+        """Replace the connection lost to ``error`` (drop number ``drops``)."""
+        delay = self.core.reconnect_delay(drops, 0, error)
+        await self._close_stream()
+        refused = 0
         while True:
-            await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
+            await asyncio.sleep(delay)
             try:
                 self._reader, self._writer = await self._open(*self._remote)
-            except OSError:
-                attempt += 1
-                if attempt - drops > self.reconnect_retries:
-                    raise
+            except OSError as refusal:
+                refused += 1
+                delay = self.core.reconnect_delay(drops, refused, refusal)
                 continue
             break
         # in-flight futures were already failed by the dying read loop;
@@ -687,9 +739,8 @@ class AsyncLabelClient:
             if not future.done():  # pragma: no cover - defensive
                 future.set_exception(ConnectionError("connection was replaced"))
         self._waiting.clear()
-        self._decoder = protocol.FrameDecoder()
         self._broken = None
-        self.reconnects += 1
+        self.core.reconnected()
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     async def close(self) -> None:
@@ -698,16 +749,7 @@ class AsyncLabelClient:
         pool, self._route_pool = self._route_pool, {}
         for leaf in pool.values():
             await leaf.close()
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+        await self._close_stream()
 
     async def __aenter__(self) -> "AsyncLabelClient":
         return self
@@ -715,7 +757,7 @@ class AsyncLabelClient:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    # -- plumbing ------------------------------------------------------------
+    # -- plumbing -------------------------------------------------------------
 
     async def _read_loop(self) -> None:
         try:
@@ -723,19 +765,13 @@ class AsyncLabelClient:
                 chunk = await self._reader.read(65536)
                 if not chunk:
                     raise ConnectionError("server closed the connection")
-                self._decoder.feed(chunk)
-                for body in self._decoder.frames():
-                    op, request_id, payload = protocol.decode_response(body)
+                for request_id, outcome in self.core.feed(chunk):
                     future = self._waiting.pop(request_id, None)
                     if future is not None and not future.done():
-                        if op == protocol.OP_BUSY:
-                            future.set_exception(ServerBusy(payload))
-                        elif op == protocol.OP_ERROR:
-                            future.set_exception(ServerError(payload))
-                        elif op == protocol.OP_MOVED:
-                            future.set_exception(ServerMoved(*payload))
+                        if isinstance(outcome, ServerError):
+                            future.set_exception(outcome)
                         else:
-                            future.set_result((op, payload))
+                            future.set_result(outcome)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # propagate to every waiter, then stop
@@ -745,210 +781,85 @@ class AsyncLabelClient:
                     future.set_exception(error)
             self._waiting.clear()
 
-    def _check_open(self) -> None:
-        """Fail fast when the reader is gone: nothing would ever resolve a
-        future registered after that point."""
+    def _send(self, request: tuple) -> asyncio.Future:
+        """Send one attempt of ``request`` under a fresh id; the future
+        resolves to ``(op, payload)`` or fails with the server's error (no
+        retry).  Fails fast when the reader is gone: nothing would ever
+        resolve a future registered after that point."""
         if self._reader_task.done():
             raise self._broken or ConnectionError("client connection is closed")
-
-    def _send(self, frame_for_id) -> asyncio.Future:
-        """Register a fresh request id, send its frame, return the future."""
-        self._check_open()
-        request_id = next(self._ids)
+        request_id = next(self.core.ids)
         future = asyncio.get_running_loop().create_future()
         self._waiting[request_id] = future
-        self._writer.write(frame_for_id(request_id))
+        self._writer.write(self.core.frame(request, request_id))
         return future
 
-    async def _request(self, frame_for_id):
-        """One request with BUSY retry: fresh id and frame per attempt.
-
-        For address-aware clients (built via :meth:`connect`) a dropped
-        connection is retried too — reconnect, fresh id, re-send.
-        """
-        attempt = 0
-        drops = 0
+    async def _call(self, request: tuple):
+        """``request``'s value, retrying BUSY sheds and, for address-aware
+        clients (built via :meth:`connect`), dropped connections."""
+        core = self.core
+        busy = drops = 0
         while True:
             try:
-                return await self._send(frame_for_id)
-            except ServerBusy as busy:
-                attempt += 1
-                if attempt > self.busy_retries:
-                    raise
-                self.busy_retried += 1
-                await asyncio.sleep(
-                    _backoff_delay(attempt, busy.retry_after_ms, self.busy_base_delay)
-                )
-            except (ConnectionError, OSError):
+                return core.finish(request, await self._send(request))
+            except ServerBusy as shed:
+                busy += 1
+                await asyncio.sleep(core.busy_delay(shed, busy))
+            except (ConnectionError, OSError) as error:
                 if self._remote is None or self._closed:
                     raise
                 drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                await self._reconnect(drops)
+                await self._reconnect(drops, error)
 
-    # -- member-aware routing --------------------------------------------------
+    # -- member-aware routing -------------------------------------------------
 
-    async def _ensure_routing(self) -> None:
-        """Fetch the fleet's routing table once (no table ⇒ shared address).
+    async def routing_table(self) -> dict | None:
+        """The fleet's routing table, fetched once (no table ⇒ shared address).
 
-        Concurrent callers (``asyncio.gather`` of routed requests) await the
-        in-flight fetch instead of falling back unrouted — otherwise every
+        Concurrent callers (``asyncio.gather`` of routed requests) wait for
+        the in-flight fetch instead of falling back unrouted — otherwise every
         gather but the first would miss the table and go unstamped through
         the shared address.
         """
-        if self._route_checked:
-            if self._route_fetch is not None:
-                await asyncio.shield(self._route_fetch)
-            return
-        self._route_checked = True
-        fetch = self._route_fetch = asyncio.get_running_loop().create_future()
-        try:
-            try:
-                self._route_table = (await self.info()).get("routing")
-            except ServerError:  # pragma: no cover - defensive
-                self._route_table = None
-            if self._route_table is not None:
-                self._route_stamp = int(self._route_table.get("version", 0))
-        finally:
-            self._route_fetch = None
-            fetch.set_result(None)
+        async with self._route_lock:
+            if not self.core.route_checked:
+                try:
+                    table = (await self.info()).get("routing")
+                except ServerError:  # pragma: no cover - defensive
+                    table = None
+                self.core.adopt_routing(table)
+        return self.core.route_table
 
-    async def routing_table(self) -> dict | None:
-        """The routing table this client is working from (fetched lazily)."""
-        await self._ensure_routing()
-        return self._route_table
-
-    async def _make_leaf(self, host: str, port: int) -> "AsyncLabelClient":
-        return await AsyncLabelClient.connect(
-            host,
-            port,
-            busy_retries=self.busy_retries,
-            busy_base_delay=self.busy_base_delay,
-            reconnect_retries=self.reconnect_retries,
-        )
-
-    async def _leaf_for(self, name: str) -> "AsyncLabelClient | None":
-        """The pooled connection pinned to ``name``'s owning shard."""
-        from repro.serve.routing import member_endpoint
-
-        endpoint = self._route_overrides.get(name)
-        if endpoint is None and self._route_table is not None:
-            endpoint = member_endpoint(self._route_table, name)
-        if endpoint is None:
-            return None
+    async def _leaf(
+        self, endpoint: tuple[str, int], stamp: int | None
+    ) -> "AsyncLabelClient":
+        """The pooled connection to ``endpoint``, stamping with ``stamp``."""
         leaf = self._route_pool.get(endpoint)
         if leaf is None:
-            leaf = self._route_pool[endpoint] = await self._make_leaf(*endpoint)
-        leaf._route_stamp = self._route_stamp
+            leaf = self._route_pool[endpoint] = await AsyncLabelClient.connect(
+                *endpoint, **self._budgets
+            )
+        leaf.core.route_stamp = stamp
         return leaf
 
-    def _apply_moved(self, moved: ServerMoved) -> None:
-        """Adopt a MOVED hint: pin the member, advance the table version."""
-        self.route_redirects += 1
-        self._route_overrides[moved.member] = (moved.host, moved.port)
-        if self._route_stamp is None or moved.version > self._route_stamp:
-            self._route_stamp = moved.version
-
     async def _routed_call(self, name: str, call):
-        """Run ``await call(client)`` against ``name``'s owner (see
+        """Run ``await call(leaf)`` against ``name``'s owner (see
         :meth:`LabelClient._routed_call` for the redirect/fallback contract)."""
-        await self._ensure_routing()
-        redirects = 0
-        while redirects <= self.route_retries:
-            leaf = await self._leaf_for(name)
-            if leaf is None:
+        await self.routing_table()
+        core = self.core
+        for _ in range(core.route_retries + 1):
+            endpoint = core.endpoint(name)
+            if endpoint is None:
                 break
             try:
-                return await call(leaf)
+                return await call(await self._leaf(endpoint, core.route_stamp))
             except ServerMoved as moved:
-                self._apply_moved(moved)
-                redirects += 1
+                core._apply_moved(moved)
         if self._remote is None:
             raise ConnectionError(
                 "routed requests need an address-aware client (use connect())"
             )
-        fallback = self._route_pool.get(self._remote)
-        if fallback is None:
-            fallback = self._route_pool[self._remote] = await self._make_leaf(
-                *self._remote
-            )
-        fallback._route_stamp = None
-        return await call(fallback)
-
-    # -- requests ------------------------------------------------------------
-
-    async def query(
-        self, u: int, v: int, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ):
-        """One distance query; a :class:`QueryResult` unless ``raw``.
-
-        ``trace_id`` stamps the request with the additive trace field (see
-        :meth:`trace`); old servers ignore it.
-        """
-        if self.route:
-            return await self._routed_call(
-                name, lambda c: c.query(u, v, name=name, raw=raw, trace_id=trace_id)
-            )
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_query(
-                request_id, u, v, name, trace_id=trace_id,
-                route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)[0]
-
-    async def batch(
-        self, pairs, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ) -> list:
-        """Answer many pairs with a single BATCH request."""
-        pairs = list(pairs)
-        if self.route:
-            return await self._routed_call(
-                name,
-                lambda c: c.batch(pairs, name=name, raw=raw, trace_id=trace_id),
-            )
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_batch(
-                request_id, pairs, name, trace_id=trace_id,
-                route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)
-
-    async def matrix(self, nodes=None, *, name: str = "", raw: bool = False) -> list[list]:
-        """All pairwise answers over ``nodes`` (default: every node)."""
-        if self.route:
-            return await self._routed_call(
-                name, lambda c: c.matrix(nodes, name=name, raw=raw)
-            )
-        if nodes is not None:
-            nodes = list(nodes)
-            size = len(nodes)
-        else:
-            size = (await self.info())["members"][name]["n"]
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_matrix(request_id, nodes, name)
-        )
-        return _reshape(_unwrap(payload, raw), size)
-
-    async def stats(
-        self, name: str = "", *, detail: bool = False, reservoir: bool = False
-    ) -> dict:
-        """Server statistics (plus one member's cache stats when named).
-
-        ``detail=True`` asks for the latency/per-stage histogram snapshots
-        (and the raw reservoir) that fleet merging needs; ``reservoir=True``
-        is the historical alias for the same detail flag.
-        """
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_stats(
-                request_id, name, reservoir=detail or reservoir
-            )
-        )
-        return payload
+        return await call(await self._leaf(self._remote, None))
 
     async def stats_all(self, *, detail: bool = False) -> list[dict]:
         """STATS from this connection plus every pooled routed connection.
@@ -964,183 +875,44 @@ class AsyncLabelClient:
                 continue
         return rows
 
-    async def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
-        """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_trace_request(
-                request_id, limit=limit, slow=slow
-            )
-        )
-        return payload
-
-    async def info(self) -> dict:
-        """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
-        _, payload = await self._request(protocol.encode_info)
-        return payload
-
-    async def pipeline(
-        self,
-        pairs,
-        *,
-        name: str = "",
-        raw: bool = False,
-        window: int = 256,
-        trace_every: int = 0,
-    ) -> list:
-        """Issue one QUERY per pair with up to ``window`` in flight.
-
-        This is the client half of the server's micro-batching story, so it
-        is deliberately allocation-light: one future per request (no task),
-        request frames concatenated into few ``write`` calls, and the window
-        enforced by awaiting the oldest outstanding response.  Answers come
-        back in ``pairs`` order regardless of the server's completion order.
-        Requests shed with BUSY are re-issued (only those) in later rounds
-        with jittered backoff.
-
-        ``trace_every=N`` stamps every Nth request of the first pass with a
-        fresh trace id (collected in ``traced_ids``); re-issued requests
-        are never traced.
-        """
-        pairs = list(pairs)
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if self.route:
-            # the whole (read-only) run re-executes on the corrected
-            # connection after a MOVED, so each member costs at most one
-            # redirect (see LabelClient.pipeline)
-            return await self._routed_call(
-                name,
-                lambda c: c.pipeline(
-                    pairs, name=name, raw=raw, window=window,
-                    trace_every=trace_every,
-                ),
-            )
-        outcomes: list = [None] * len(pairs)
-        todo = list(range(len(pairs)))
-        attempt = 0
-        drops = 0
+    async def _pipeline(self, run: PipelineRun, raw: bool, window: int) -> list:
         reconnectable = self._remote is not None
-        while todo:
-            sample, trace_every = trace_every, 0  # first pass only
-            try:
-                futures = await self._pipeline_pass(
-                    [pairs[i] for i in todo], name, window, trace_every=sample
-                )
-            except (ConnectionError, OSError) as error:
-                if not reconnectable or self._closed:
-                    raise
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise error
-                await self._reconnect(drops)
-                continue
-            busy: list[int] = []
-            dropped: list[int] = []
-            drop_error = None
-            failure = None
-            for slot, future in zip(todo, futures):
-                # retrieve every outcome before raising, so no failed future
-                # is left with a never-retrieved exception
-                error = future.exception()
-                if error is None:
-                    _, payload = future.result()
-                    outcomes[slot] = payload
-                elif isinstance(error, ServerBusy):
-                    busy.append(slot)
-                elif isinstance(error, (ConnectionError, OSError)) and (
-                    reconnectable and not self._closed
-                ):
-                    # the connection died under this request (worker crash,
-                    # rolling reload) — unanswered, so safe to re-issue
-                    dropped.append(slot)
-                    drop_error = drop_error or error
-                elif failure is None:
-                    failure = error
-            if failure is not None:
-                raise failure
-            if dropped:
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise drop_error
-                await self._reconnect(drops)
-            else:
-                drops = 0
-            if busy:
-                # no-progress rounds spend the retry budget; rounds that
-                # answered anything reset it (see LabelClient.pipeline)
-                attempt = attempt + 1 if len(busy) + len(dropped) == len(todo) else 0
-                if attempt > self.busy_retries:
-                    raise ServerBusy()
-                self.busy_retried += len(busy)
-                await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-            todo = sorted(busy + dropped)
-        return [_unwrap(payload, raw)[0] for payload in outcomes]
+        while run.todo:
+            outcomes = await self._pipeline_pass(*run.next_pass(), window)
+            delay, lost = run.settle(outcomes, reconnectable and not self._closed)
+            if lost is not None:
+                await self._reconnect(run.drops, lost)
+            if delay:
+                await asyncio.sleep(delay)
+        return run.results(raw)
 
-    async def _pipeline_pass(
-        self, pairs: list, name: str, window: int, trace_every: int = 0
-    ) -> list:
-        """One windowed pass over ``pairs``; returns the settled futures."""
-        self._check_open()
-        loop = asyncio.get_running_loop()
-        waiting = self._waiting
-        ids = self._ids
-        write = self._writer.write
-        # inline the QUERY frame construction: the opcode and name bytes are
-        # loop constants, so each frame is four uvarints and two joins
-        from repro.encoding.varint import encode_uvarint as uvarint
+    async def _pipeline_pass(self, ids: list, frames: list, window: int) -> list:
+        """One windowed pass: one outcome per request, in order.
 
-        prefix = bytes([protocol.OP_QUERY])
-        encoded_name = uvarint(len(name.encode("utf-8"))) + name.encode("utf-8")
-        route_suffix = (
-            b"\x02" + uvarint(self._route_stamp)
-            if self._route_stamp is not None
-            else b""
-        )
-        create_future = loop.create_future
+        Deliberately allocation-light, as the client half of the server's
+        micro-batching story: one future per request (no task), frames
+        joined into one ``write`` per window top-up, and the window enforced
+        by awaiting the oldest outstanding responses.
+        """
+        create_future = asyncio.get_running_loop().create_future
         futures: list[asyncio.Future] = []
-        backlog = bytearray()
-        head = 0  # oldest future not yet awaited
-        for index, (u, v) in enumerate(pairs):
+        # drain half the window at once: awaiting one future at a time would
+        # degrade to one tiny write per query in steady state, defeating both
+        # ends' batching
+        half = max(1, window // 2)
+        for head in range(0, len(ids), half):
+            start, end = len(futures), min(len(ids), head + window)
+            fresh = [create_future() for _ in range(start, end)]
+            futures += fresh
             if self._reader_task.done():
-                # the reader died mid-pass and already failed everything it
-                # knew about; registering more futures would leave them
+                # the reader died and already failed everything it knew
+                # about; registering more futures would leave them
                 # unresolved forever — fail them at birth instead
-                future = create_future()
-                future.set_exception(
-                    self._broken or ConnectionError("client connection is closed")
-                )
-                futures.append(future)
-                continue
-            request_id = next(ids)
-            future = create_future()
-            waiting[request_id] = future
-            futures.append(future)
-            body = (
-                prefix + uvarint(request_id) + encoded_name + uvarint(u) + uvarint(v)
-            )
-            if trace_every and index % trace_every == 0:
-                # the additive trace suffix; sampled requests are rare, so
-                # the two extra concatenations stay off the common path
-                body += b"\x01" + uvarint(self.next_trace_id())
-            body += route_suffix
-            backlog += uvarint(len(body))
-            backlog += body
-            if len(backlog) >= 32768:
-                write(bytes(backlog))
-                backlog.clear()
-            if index + 1 - head >= window:
-                if backlog:
-                    write(bytes(backlog))
-                    backlog.clear()
-                # drain half the window at once: awaiting one future at a
-                # time would degrade to one tiny write per query in steady
-                # state, defeating both ends' batching
-                release = head + max(1, window // 2)
-                while head < release:
-                    await _settle(futures[head])
-                    head += 1
-        if backlog:
-            write(bytes(backlog))
-        for future in futures[head:]:
-            await _settle(future)
-        return futures
+                error = self._broken or ConnectionError("client connection is closed")
+                for future in fresh:
+                    future.set_exception(error)
+            else:
+                self._waiting.update(zip(ids[start:end], fresh))
+                self._writer.write(b"".join(frames[start:end]))
+            await asyncio.wait(futures[head : head + half])
+        return [future.exception() or future.result() for future in futures]

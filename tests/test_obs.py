@@ -29,8 +29,11 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import DistanceIndex
+from repro.encoding.varint import encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
 from repro.obs.hist import DEFAULT_BOUNDS_MS, Histogram, merge_histogram_dicts
 from repro.obs.profile import install_profile_hook, parse_profile_spec, profile_path
@@ -267,6 +270,46 @@ def test_traceless_requests_are_byte_identical():
     assert traced[: len(traced) - 2].endswith(plain[1:])  # suffix is additive
     plain_batch = protocol.encode_batch(8, [(1, 2)], "")
     assert protocol.encode_batch(8, [(1, 2)], "", trace_id=None) == plain_batch
+
+
+_UINT = st.integers(min_value=0, max_value=2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    request_id=_UINT,
+    u=_UINT,
+    v=_UINT,
+    name=st.text(max_size=12),
+    trace_id=st.none() | _UINT,
+    route_version=st.none() | _UINT,
+)
+def test_traceless_requests_are_byte_identical_any_query(
+    request_id, u, v, name, trace_id, route_version
+):
+    """The bound QUERY frame builder (both clients' request path) emits the
+    original field-by-field encoding, and the server decodes it back."""
+    uvarint = encode_uvarint
+    encoded_name = name.encode("utf-8")
+    reference = protocol.encode_frame(
+        bytes([protocol.OP_QUERY])
+        + uvarint(request_id)
+        + uvarint(len(encoded_name))
+        + encoded_name
+        + uvarint(u)
+        + uvarint(v)
+        + (b"" if trace_id is None else b"\x01" + uvarint(trace_id))
+        + (b"" if route_version is None else b"\x02" + uvarint(route_version))
+    )
+    framed = protocol.query_framer(name, route_version)(request_id, u, v, trace_id)
+    assert framed == reference
+    assert protocol.encode_query(request_id, u, v, name, trace_id, route_version) == reference
+    decoder = protocol.FrameDecoder()
+    decoder.feed(framed)
+    (body,) = decoder.frames()
+    assert protocol.decode_request(body) == (
+        protocol.OP_QUERY, request_id, name, (u, v), trace_id, route_version
+    )
 
 
 def test_tracing_feature_is_advertised(index):

@@ -98,7 +98,7 @@ def test_request_frames_round_trip():
             (protocol.OP_STATS, 14, "y", None, None, None),
         ),
         (
-            protocol.encode_stats(16, "y", reservoir=True),
+            protocol.encode_stats(16, "y", detail=True),
             (protocol.OP_STATS, 16, "y", True, None, None),
         ),
         (protocol.encode_info(15), (protocol.OP_INFO, 15, "", None, None, None)),
@@ -298,12 +298,9 @@ def test_bad_query_does_not_poison_coalesced_batch(catalog, tree):
     only the offender gets OP_ERROR, the valid query is still answered."""
 
     async def handler(server, client, host, port):
-        good = client._send(
-            lambda rid: protocol.encode_query(rid, 0, 1, "exact")
-        )
-        bad = client._send(
-            lambda rid: protocol.encode_query(rid, 0, tree.n + 7, "exact")
-        )
+        # raw sends: requests are (op, args, raw) tuples, no client retry
+        good = client._send((protocol.OP_QUERY, (0, 1, "exact", None), True))
+        bad = client._send((protocol.OP_QUERY, (0, tree.n + 7, "exact", None), True))
         _, payload = await good
         kind, ratio, values = payload
         assert values == [catalog.query("exact", 0, 1, raw=True)]

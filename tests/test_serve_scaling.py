@@ -86,7 +86,7 @@ def test_info_advertises_busy_feature(tree, index):
 
 def test_stats_reservoir_flag_round_trips():
     plain = protocol.encode_stats(3, "m")
-    flagged = protocol.encode_stats(4, "m", reservoir=True)
+    flagged = protocol.encode_stats(4, "m", detail=True)
     decoder = protocol.FrameDecoder()
     decoder.feed(plain)
     decoder.feed(flagged)
@@ -119,7 +119,7 @@ def test_stats_reservoir_is_opt_in(tree, index):
         plain = await client.stats()
         assert "reservoir" not in plain["latency_ms"]
         assert plain["latency_ms"]["samples"] == len(pairs)
-        full = await client.stats(reservoir=True)
+        full = await client.stats(detail=True)
         reservoir = full["latency_ms"]["reservoir"]
         assert len(reservoir) == full["latency_ms"]["samples"] == len(pairs)
         assert all(sample >= 0 for sample in reservoir)
@@ -303,8 +303,8 @@ def test_concurrent_matrix_beyond_inflight_cap_gets_busy(tree, index):
     runs on the executor is shed with BUSY (raw sends bypass client retry)."""
 
     async def handler(server, client, host, port):
-        first = client._send(lambda rid: protocol.encode_matrix(rid, None, ""))
-        second = client._send(lambda rid: protocol.encode_matrix(rid, [0, 1, 2], ""))
+        first = client._send((protocol.OP_MATRIX, (None, ""), True))
+        second = client._send((protocol.OP_MATRIX, ([0, 1, 2], ""), True))
         op, payload = await first
         assert op == protocol.OP_RESULT
         with pytest.raises(ServerBusy):
