@@ -1,8 +1,7 @@
 """Reproduce the paper's summary table empirically (label-size study).
 
 Sweeps the exact, k-distance and approximate schemes over tree sizes and
-prints measured label sizes next to the bound formulas from the paper —
-the same numbers EXPERIMENTS.md records.
+prints measured label sizes next to the bound formulas from the paper.
 
 Run with::
 

@@ -184,7 +184,7 @@ class FreedmanLabel:
         return kept + accumulated
 
     def field_breakdown(self) -> dict[str, int]:
-        """Bits used by each label component (diagnostics for EXPERIMENTS.md)."""
+        """Bits used by each label component (label-size diagnostics)."""
         from repro.encoding.elias import delta_length, gamma_length
 
         codeword_bits = sum(len(word) for word in self.codewords)

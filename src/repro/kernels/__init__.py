@@ -1,11 +1,12 @@
 """Tiered decode/distance kernels: native C → packed Python.
 
 The query path's hot loops (``parse_many`` word scans, batched distance,
-matrix fill) have two interchangeable implementations:
+matrix fill, single pairs) have two interchangeable implementations:
 
 - **native** — ``_kernels.c`` compiled at build/first-use and loaded via
-  cffi (:mod:`repro.kernels.native`); fused decode+distance for hld-fixed
-  and Freedman labels straight from ``LabelStore.buffers()``.
+  cffi (:mod:`repro.kernels.native`); fused decode+distance for hld-fixed,
+  Freedman and k-distance labels straight from ``LabelStore.buffers()``,
+  for batches, matrices and one pair at a time.
 - **python** — the existing packed word-level paths, always available
   (:mod:`repro.kernels.python_tier`).
 
@@ -15,9 +16,10 @@ the best available tier is selected.  ``REPRO_KERNELS=native|python``
 forces a tier; if the forced tier is unavailable the next one down is used
 and the probe records why, and any other value is noted and ignored.
 Every backend accelerates only what it supports — a fused call returning
-``None`` sends the caller down the packed-Python path, so results (and
-error behaviour) are identical across tiers by construction, which the
-differential suites assert.
+``None`` (or :data:`DECLINED` from a one-pair function) sends the caller
+down the packed-Python path, so results (and error behaviour) are
+identical across tiers by construction, which the differential suites
+assert.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import os
 
 ENV_VAR = "REPRO_KERNELS"
 TIER_ORDER = ("native", "python")
+#: what a one-pair query function returns when it declines (``INT64_MIN``,
+#: ``PAIR_DECLINE`` in ``_kernels.c``: no answer can take this value)
+DECLINED = -(1 << 63)
 
 _state: dict = {"probe": None, "backends": {}}
 

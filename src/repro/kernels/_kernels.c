@@ -10,7 +10,9 @@
  * the exact reference behaviour (including the exception raised for
  * genuinely corrupt labels).  The C side therefore never needs to be
  * bug-for-bug complete: it only needs to be *silent* about what it skips
- * and byte-identical on what it accepts.
+ * and byte-identical on what it accepts.  The one-pair entries
+ * (repro_*_pair) return their answer directly, and PAIR_DECLINE where the
+ * others return 1.
  *
  * Bit layout contract (matching repro.encoding.bitio): MSB-first within the
  * packed stream; label i starts at bit offset offs[i] * 8 and is lens[i]
@@ -27,13 +29,18 @@
 #define E_OK 0
 #define E_FALLBACK 1
 
+/* What a one-pair entry (repro_*_pair) returns instead of an answer when it
+ * declines: no label field can produce it, since every decoded value stays
+ * below 2^MAX_VALUE_BITS.  repro.kernels.DECLINED holds the same value. */
+#define PAIR_DECLINE INT64_MIN
+
 /* Arbitrary sanity ceilings: anything above falls back to Python (which
  * handles unbounded integers).  Chosen so every intermediate fits int64
  * with room to spare. */
 #define MAX_COUNT (1u << 20)
 #define MAX_VALUE_BITS 56
 
-#define ABI_VERSION 3
+#define ABI_VERSION 4
 
 int repro_kernels_abi(void) { return ABI_VERSION; }
 
@@ -111,6 +118,7 @@ typedef struct {
     uint64_t *data;
     size_t len;
     size_t cap;
+    int fixed; /* caller-owned storage (a stack array): never grown or freed */
 } vec_t;
 
 static int vec_reserve(vec_t *v, size_t extra) {
@@ -118,6 +126,7 @@ static int vec_reserve(vec_t *v, size_t extra) {
     size_t cap;
     uint64_t *grown;
     if (need <= v->cap) return E_OK;
+    if (v->fixed) return E_FALLBACK;
     cap = v->cap ? v->cap : 256;
     while (cap < need) cap *= 2;
     grown = (uint64_t *)realloc(v->data, cap * sizeof(uint64_t));
@@ -354,6 +363,25 @@ int repro_hld_matrix(const uint8_t *payload, const uint64_t *offs,
     return err ? E_FALLBACK : E_OK;
 }
 
+/* One pair, no shared state: the thread-safe single-query entry.  Returns
+ * the distance or PAIR_DECLINE. */
+int64_t repro_hld_pair(const uint8_t *payload, const uint64_t *offs,
+                       const uint64_t *lens, int64_t n_total, int64_t u,
+                       int64_t v) {
+    hld_arena_t a;
+    int32_t nodes[2];
+    int err = 0;
+    int64_t d;
+    if (u < 0 || u >= n_total || v < 0 || v >= n_total) return PAIR_DECLINE;
+    nodes[0] = (int32_t)u;
+    nodes[1] = (int32_t)v;
+    if (hld_decode_all(payload, offs, lens, n_total, nodes, 2, &a))
+        return PAIR_DECLINE;
+    d = hld_dist(&a, 0, 1, &err);
+    hld_arena_free(&a);
+    return err ? PAIR_DECLINE : d;
+}
+
 /* FNV-1a-style fold over the decoded fields, in node order — the Python
  * tiers compute the identical fold over parse_many labels, so equal
  * checksums certify the decoders agree on every field of every label. */
@@ -561,7 +589,8 @@ static inline int64_t fr_dist(const fr_arena_t *a, const uint8_t *payload,
         if (br_read(&r, (uint32_t)pushed, &segment)) goto bad;
         value = (value << pushed) | segment;
     }
-    ref = a->frag_refs.data[dd + level];
+    if (level >= dom->frag_ref_count) goto bad;
+    ref = a->frag_refs.data[dom->frag_ref_start + level];
     if (ref >= dom->frag_dist_count) goto bad;
     reference = a->frag_dists.data[dom->frag_dist_start + ref];
     if (reference >> MAX_VALUE_BITS) goto bad;
@@ -615,6 +644,24 @@ int repro_freedman_matrix(const uint8_t *payload, const uint64_t *offs,
     }
     fr_arena_free(&a);
     return err ? E_FALLBACK : E_OK;
+}
+
+/* One pair, no shared state; see repro_hld_pair. */
+int64_t repro_freedman_pair(const uint8_t *payload, const uint64_t *offs,
+                            const uint64_t *lens, int64_t n_total, int64_t u,
+                            int64_t v) {
+    fr_arena_t a;
+    int32_t nodes[2];
+    int err = 0;
+    int64_t d;
+    if (u < 0 || u >= n_total || v < 0 || v >= n_total) return PAIR_DECLINE;
+    nodes[0] = (int32_t)u;
+    nodes[1] = (int32_t)v;
+    if (fr_decode_all(payload, offs, lens, n_total, nodes, 2, &a))
+        return PAIR_DECLINE;
+    d = fr_dist(&a, payload, 0, 1, &err);
+    fr_arena_free(&a);
+    return err ? PAIR_DECLINE : d;
 }
 
 /* Same field fold as repro_hld_checksum, over the Freedman grammar.  The
@@ -682,6 +729,376 @@ int repro_freedman_checksum(const uint8_t *payload, const uint64_t *offs,
         }
     }
     fr_arena_free(&a);
+    *out = h;
+    return E_OK;
+}
+
+/* -- k-distance ------------------------------------------------------------ */
+
+/* Longest monotone sequence the decoder accepts.  A valid label stores one
+ * entry per significant ancestor within k (at most log2 n + 2 of them) and
+ * at most k Lemma 4.5 table entries, so this turns away only corrupt
+ * counts and a compact regime forced at an unusually large k. */
+#define KD_MAX_SEQ 64
+/* ceiling on the trie heights (range identifiers shift by them) */
+#define KD_MAX_HEIGHT 62
+
+enum { KD_HEIGHTS, KD_CHILD, KD_DIST, KD_FWD, KD_BWD, KD_SEQS };
+
+typedef struct {
+    uint64_t pre;
+    uint64_t light_depth;
+    uint64_t alpha;
+    uint64_t position_mod;
+    uint32_t has_extension;
+    uint32_t compact;
+    size_t start[KD_SEQS]; /* base of each monotone sequence in the values */
+    uint32_t count[KD_SEQS];
+} kd_label_t;
+
+#define KD_VAL(lab, seq, index) vals[(lab)->start[seq] + (size_t)(index)]
+
+static inline int br_bit(br_t *r, uint32_t *bit) {
+    if (r->pos >= r->end) return E_FALLBACK;
+    *bit = (r->base[r->pos >> 3] >> (7 - (r->pos & 7))) & 1u;
+    r->pos++;
+    return E_OK;
+}
+
+/* One Lemma 2.2 sequence into ``vals``; every value must be <= max_value. */
+static int kd_sequence(br_t *r, vec_t *vals, kd_label_t *lab, int seq,
+                       uint64_t max_value) {
+    br_t peek = *r;
+    uint64_t count;
+    uint32_t got, i;
+    if (br_gamma(&peek, &count) || count > KD_MAX_SEQ) return E_FALLBACK;
+    lab->start[seq] = vals->len;
+    if (br_monotone(r, vals, &got)) return E_FALLBACK;
+    lab->count[seq] = got;
+    for (i = 0; i < got; i++)
+        if (vals->data[lab->start[seq] + i] > max_value) return E_FALLBACK;
+    return E_OK;
+}
+
+/* The grammar of repro.core.kdistance._parse_word: delta pre, gamma light
+ * depth, extension and compact flags, the heights, child heights and
+ * distances sequences, delta alpha, and in the compact regime gamma
+ * position_mod plus the forward and backward tables. */
+static int kd_decode(const uint8_t *payload, const uint64_t *offs,
+                     const uint64_t *lens, int64_t node, vec_t *vals,
+                     kd_label_t *lab) {
+    const uint64_t value_cap = (1ull << MAX_VALUE_BITS) - 1;
+    br_t r;
+    r.base = payload;
+    r.pos = offs[node] * 8;
+    r.end = r.pos + lens[node];
+    if (br_delta(&r, &lab->pre) || lab->pre > value_cap) return E_FALLBACK;
+    if (br_gamma(&r, &lab->light_depth) || lab->light_depth > value_cap)
+        return E_FALLBACK;
+    if (br_bit(&r, &lab->has_extension) || br_bit(&r, &lab->compact))
+        return E_FALLBACK;
+    if (kd_sequence(&r, vals, lab, KD_HEIGHTS, KD_MAX_HEIGHT) ||
+        kd_sequence(&r, vals, lab, KD_CHILD, KD_MAX_HEIGHT) ||
+        kd_sequence(&r, vals, lab, KD_DIST, value_cap))
+        return E_FALLBACK;
+    if (br_delta(&r, &lab->alpha) || lab->alpha > value_cap) return E_FALLBACK;
+    if (lab->compact) {
+        if (br_gamma(&r, &lab->position_mod)) return E_FALLBACK;
+        if (kd_sequence(&r, vals, lab, KD_FWD, UINT64_MAX) ||
+            kd_sequence(&r, vals, lab, KD_BWD, UINT64_MAX))
+            return E_FALLBACK;
+    } else {
+        lab->position_mod = 0;
+        lab->start[KD_FWD] = lab->start[KD_BWD] = vals->len;
+        lab->count[KD_FWD] = lab->count[KD_BWD] = 0;
+    }
+    return E_OK;
+}
+
+/* range_identifier: truncate ``height`` low bits, set the height-th bit. */
+static inline uint64_t kd_identifier(uint64_t member, uint64_t height) {
+    if (height == 0) return member;
+    return ((member >> height) << height) | (1ull << (height - 1));
+}
+
+/* KDistanceLabel.child_identifier(i) == child_identifier(j); the caller has
+ * checked 1 <= i <= count[KD_CHILD] on both sides. */
+static inline int kd_same_child(const uint64_t *vals, const kd_label_t *lu,
+                                int64_t i, const kd_label_t *lv, int64_t j) {
+    uint64_t hu = KD_VAL(lu, KD_CHILD, i - 1);
+    uint64_t hv = KD_VAL(lv, KD_CHILD, j - 1);
+    return hu == hv && kd_identifier(lu->pre, hu) == kd_identifier(lv->pre, hv);
+}
+
+/* The answers below mirror KDistanceScheme branch for branch: a distance,
+ * -1 for "beyond k" (None), or *err = 1 wherever the Python decoder would
+ * raise or index from the end (a corrupt label) — the caller then declines
+ * and the Python path produces the reference answer or error. */
+
+/* _top_path_distance */
+static int64_t kd_top_path(const uint64_t *vals, const kd_label_t *lu,
+                           int64_t iu, const kd_label_t *lv, int64_t iv,
+                           int64_t k, int *err) {
+    const uint64_t capped = 2 * (uint64_t)k + 1;
+    const kd_label_t *lower, *higher;
+    uint64_t id_u, id_v, lower_id, higher_id, step, direct;
+    if (!lu->compact || (lu->alpha < capped && lv->alpha < capped))
+        return lu->alpha > lv->alpha ? (int64_t)(lu->alpha - lv->alpha)
+                                     : (int64_t)(lv->alpha - lu->alpha);
+    if (iu < 0 || iu >= lu->count[KD_HEIGHTS] || iv < 0 ||
+        iv >= lv->count[KD_HEIGHTS]) {
+        *err = 1;
+        return 0;
+    }
+    id_u = kd_identifier(lu->pre, KD_VAL(lu, KD_HEIGHTS, iu));
+    id_v = kd_identifier(lv->pre, KD_VAL(lv, KD_HEIGHTS, iv));
+    if (id_u == id_v) return 0;
+    if (id_u < id_v) {
+        lower = lu, higher = lv, lower_id = id_u, higher_id = id_v;
+    } else {
+        lower = lv, higher = lu, lower_id = id_v, higher_id = id_u;
+    }
+    step = (higher->position_mod % (uint64_t)k + (uint64_t)k -
+            lower->position_mod % (uint64_t)k) % (uint64_t)k;
+    if (step == 0) step = (uint64_t)k;
+    if (step > lower->count[KD_FWD] || step > higher->count[KD_BWD]) return -1;
+    direct = 63 - (uint64_t)__builtin_clzll(higher_id - lower_id);
+    if (KD_VAL(lower, KD_FWD, step - 1) == direct &&
+        KD_VAL(higher, KD_BWD, step - 1) == direct)
+        return (int64_t)step;
+    return -1;
+}
+
+static inline int64_t kd_within(int64_t total, int64_t k) {
+    return total <= k ? total : -1;
+}
+
+/* _distance_with_match: (i, j) index the nearest common significant
+ * ancestor in the two labels. */
+static int64_t kd_with_match(const uint64_t *vals, const kd_label_t *lu,
+                             int64_t i, const kd_label_t *lv, int64_t j,
+                             int64_t k, int *err) {
+    int u_has = i < lu->count[KD_DIST];
+    int v_has = j < lv->count[KD_DIST];
+    const kd_label_t *far, *near;
+    int64_t far_index, near_index, between, beta;
+    if (u_has && v_has) {
+        if (i == 0) return kd_within((int64_t)KD_VAL(lv, KD_DIST, j), k);
+        if (j == 0) return kd_within((int64_t)KD_VAL(lu, KD_DIST, i), k);
+        if (i > lu->count[KD_CHILD] || j > lv->count[KD_CHILD]) goto bad;
+        if (kd_same_child(vals, lu, i, lv, j)) {
+            int64_t du = (int64_t)KD_VAL(lu, KD_DIST, i) -
+                         (int64_t)KD_VAL(lu, KD_DIST, i - 1);
+            int64_t dv = (int64_t)KD_VAL(lv, KD_DIST, j) -
+                         (int64_t)KD_VAL(lv, KD_DIST, j - 1);
+            return kd_within((int64_t)KD_VAL(lu, KD_DIST, i - 1) +
+                                 (int64_t)KD_VAL(lv, KD_DIST, j - 1) +
+                                 (du > dv ? du - dv : dv - du),
+                             k);
+        }
+        return kd_within((int64_t)KD_VAL(lu, KD_DIST, i) +
+                             (int64_t)KD_VAL(lv, KD_DIST, j),
+                         k);
+    }
+    if (!u_has && !v_has) {
+        /* both matched at their extension entry */
+        if (i == 0 || j == 0 || i > lu->count[KD_CHILD] ||
+            j > lv->count[KD_CHILD] || i - 1 >= lu->count[KD_DIST] ||
+            j - 1 >= lv->count[KD_DIST])
+            goto bad;
+        if (!kd_same_child(vals, lu, i, lv, j)) return -1;
+        between = kd_top_path(vals, lu, i - 1, lv, j - 1, k, err);
+        if (*err || between < 0) return -1;
+        return kd_within((int64_t)KD_VAL(lu, KD_DIST, i - 1) +
+                             (int64_t)KD_VAL(lv, KD_DIST, j - 1) + between,
+                         k);
+    }
+    /* mixed: exactly one side matched at its extension entry */
+    if (u_has) {
+        far = lv, far_index = j, near = lu, near_index = i;
+    } else {
+        far = lu, far_index = i, near = lv, near_index = j;
+    }
+    if (near_index == 0) return -1;
+    if (far_index == 0 || far_index > far->count[KD_CHILD] ||
+        near_index > near->count[KD_CHILD] || far->count[KD_DIST] == 0)
+        goto bad;
+    if (!kd_same_child(vals, far, far_index, near, near_index)) return -1;
+    beta = (int64_t)KD_VAL(near, KD_DIST, near_index) -
+           (int64_t)KD_VAL(near, KD_DIST, near_index - 1);
+    if (far->compact && far->alpha >= 2 * (uint64_t)k + 1) return -1;
+    between = (int64_t)far->alpha + 1 - beta;
+    if (between < 0) between = -between;
+    return kd_within(
+        (int64_t)KD_VAL(far, KD_DIST, far->count[KD_DIST] - 1) +
+            (int64_t)KD_VAL(near, KD_DIST, near_index - 1) + between,
+        k);
+bad:
+    *err = 1;
+    return 0;
+}
+
+/* bounded_distance with _deepest_common_entry inlined.  Walking the light
+ * depths top-down, the entry indices only grow, so the first index past a
+ * label's stored entries ends the search. */
+static int64_t kd_dist(const uint64_t *vals, const kd_label_t *lu,
+                       const kd_label_t *lv, int64_t k, int *err) {
+    uint64_t depth = lu->light_depth < lv->light_depth ? lu->light_depth
+                                                       : lv->light_depth;
+    uint64_t base_u = lu->light_depth - depth, base_v = lv->light_depth - depth;
+    uint64_t t, top_u, top_v;
+    int64_t between;
+    if (lu->pre == lv->pre) return 0;
+    for (t = 0; t <= depth; t++) {
+        uint64_t i = base_u + t, j = base_v + t, hu, hv;
+        if (i >= lu->count[KD_HEIGHTS] || j >= lv->count[KD_HEIGHTS]) break;
+        hu = KD_VAL(lu, KD_HEIGHTS, i);
+        hv = KD_VAL(lv, KD_HEIGHTS, j);
+        if (hu == hv && kd_identifier(lu->pre, hu) == kd_identifier(lv->pre, hv))
+            return kd_with_match(vals, lu, (int64_t)i, lv, (int64_t)j, k, err);
+    }
+    /* no common significant ancestor stored: both chains must be exhausted
+     * (their tops lie on the root heavy path) for a distance within k */
+    if (lu->count[KD_DIST] != lu->light_depth + 1 ||
+        lv->count[KD_DIST] != lv->light_depth + 1)
+        return -1;
+    top_u = lu->count[KD_DIST] - 1;
+    top_v = lv->count[KD_DIST] - 1;
+    between = kd_top_path(vals, lu, (int64_t)top_u, lv, (int64_t)top_v, k, err);
+    if (*err || between < 0) return -1;
+    return kd_within((int64_t)KD_VAL(lu, KD_DIST, top_u) +
+                         (int64_t)KD_VAL(lv, KD_DIST, top_v) + between,
+                     k);
+}
+
+typedef struct {
+    kd_label_t *labels;
+    vec_t vals;
+} kd_arena_t;
+
+static void kd_arena_free(kd_arena_t *a) {
+    free(a->labels);
+    vec_free(&a->vals);
+}
+
+static int kd_decode_all(const uint8_t *payload, const uint64_t *offs,
+                         const uint64_t *lens, int64_t n_total,
+                         const int32_t *nodes, int64_t n_nodes,
+                         kd_arena_t *a) {
+    int64_t s;
+    memset(a, 0, sizeof(*a));
+    a->labels = (kd_label_t *)malloc((size_t)n_nodes * sizeof(kd_label_t));
+    if (!a->labels) return E_FALLBACK;
+    for (s = 0; s < n_nodes; s++) {
+        if (nodes[s] < 0 || nodes[s] >= n_total ||
+            kd_decode(payload, offs, lens, nodes[s], &a->vals, &a->labels[s])) {
+            kd_arena_free(a);
+            return E_FALLBACK;
+        }
+    }
+    return E_OK;
+}
+
+static inline int kd_k_ok(int64_t k) {
+    return k >= 1 && k < (1ll << MAX_VALUE_BITS);
+}
+
+int repro_kdist_batch(const uint8_t *payload, const uint64_t *offs,
+                      const uint64_t *lens, int64_t n_total,
+                      const int32_t *nodes, int64_t n_nodes, const int32_t *ui,
+                      const int32_t *vi, int64_t n_pairs, int64_t k,
+                      int64_t *out) {
+    kd_arena_t a;
+    int64_t p;
+    int err = 0;
+    if (n_nodes <= 0 || !kd_k_ok(k)) return E_FALLBACK;
+    if (kd_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
+        return E_FALLBACK;
+    for (p = 0; p < n_pairs && !err; p++) {
+        int32_t u = ui[p], v = vi[p];
+        if (u < 0 || u >= n_nodes || v < 0 || v >= n_nodes) {
+            err = 1;
+            break;
+        }
+        out[p] = kd_dist(a.vals.data, &a.labels[u], &a.labels[v], k, &err);
+    }
+    kd_arena_free(&a);
+    return err ? E_FALLBACK : E_OK;
+}
+
+int repro_kdist_matrix(const uint8_t *payload, const uint64_t *offs,
+                       const uint64_t *lens, int64_t n_total,
+                       const int32_t *nodes, int64_t n_nodes, int64_t k,
+                       int64_t *out) {
+    kd_arena_t a;
+    int64_t i, j;
+    int err = 0;
+    if (n_nodes <= 0 || !kd_k_ok(k)) return E_FALLBACK;
+    if (kd_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
+        return E_FALLBACK;
+    for (i = 0; i < n_nodes && !err; i++) {
+        const kd_label_t *li = &a.labels[i];
+        out[i * n_nodes + i] = kd_dist(a.vals.data, li, li, k, &err);
+        for (j = i + 1; j < n_nodes && !err; j++) {
+            int64_t d = kd_dist(a.vals.data, li, &a.labels[j], k, &err);
+            out[i * n_nodes + j] = d;
+            out[j * n_nodes + i] = d;
+        }
+    }
+    kd_arena_free(&a);
+    return err ? E_FALLBACK : E_OK;
+}
+
+/* One pair, decoded into stack storage (no malloc, no shared state).
+ * Returns the distance, -1 for "beyond k", or PAIR_DECLINE. */
+int64_t repro_kdist_pair(const uint8_t *payload, const uint64_t *offs,
+                         const uint64_t *lens, int64_t n_total, int64_t u,
+                         int64_t v, int64_t k) {
+    uint64_t storage[2 * KD_SEQS * KD_MAX_SEQ];
+    vec_t vals = {storage, 0, sizeof(storage) / sizeof(storage[0]), 1};
+    kd_label_t lu, lv;
+    int err = 0;
+    int64_t d;
+    if (u < 0 || u >= n_total || v < 0 || v >= n_total || !kd_k_ok(k))
+        return PAIR_DECLINE;
+    if (kd_decode(payload, offs, lens, u, &vals, &lu) ||
+        kd_decode(payload, offs, lens, v, &vals, &lv))
+        return PAIR_DECLINE;
+    d = kd_dist(storage, &lu, &lv, k, &err);
+    return err ? PAIR_DECLINE : d;
+}
+
+/* Same field fold as repro_hld_checksum: the scalar fields, then each
+ * sequence as (count, values...); the simple regime folds position_mod 0
+ * and two empty tables. */
+int repro_kdist_checksum(const uint8_t *payload, const uint64_t *offs,
+                         const uint64_t *lens, int64_t n_total,
+                         const int32_t *nodes, int64_t n_nodes,
+                         uint64_t *out) {
+    kd_arena_t a;
+    uint64_t h = 1469598103934665603ull;
+    const uint64_t prime = 1099511628211ull;
+    int64_t s;
+    int seq;
+    uint32_t i;
+    if (n_nodes <= 0) return E_FALLBACK;
+    if (kd_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
+        return E_FALLBACK;
+    for (s = 0; s < n_nodes; s++) {
+        const kd_label_t *lab = &a.labels[s];
+        h = (h ^ lab->pre) * prime;
+        h = (h ^ lab->light_depth) * prime;
+        h = (h ^ lab->has_extension) * prime;
+        h = (h ^ lab->compact) * prime;
+        h = (h ^ lab->alpha) * prime;
+        h = (h ^ lab->position_mod) * prime;
+        for (seq = 0; seq < KD_SEQS; seq++) {
+            h = (h ^ lab->count[seq]) * prime;
+            for (i = 0; i < lab->count[seq]; i++)
+                h = (h ^ a.vals.data[lab->start[seq] + i]) * prime;
+        }
+    }
+    kd_arena_free(&a);
     *out = h;
     return E_OK;
 }

@@ -1,5 +1,10 @@
 """The native tier: ``_kernels.c`` compiled and loaded through cffi.
 
+The C side decodes and answers hld-fixed, Freedman and k-distance labels
+straight from the store's buffers: a batch, a matrix, a parse checksum, or
+one pair (the scalar ``repro_<kind>_pair`` entries behind
+:meth:`NativeBackend.pair_query`, which ``QueryEngine.query`` calls first).
+
 Loading follows the quisk pattern (SNIPPETS.md Snippet 1): the shared
 library is a pure accelerator, never a dependency.  ``load()`` either
 returns a working :class:`NativeBackend` or raises :class:`KernelError`
@@ -24,6 +29,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -35,7 +41,7 @@ from repro.kernels.python_tier import _kind
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -67,11 +73,38 @@ int repro_freedman_checksum(const uint8_t *payload, const uint64_t *offs,
                             const uint64_t *lens, int64_t n_total,
                             const int32_t *nodes, int64_t n_nodes,
                             uint64_t *out);
+int repro_kdist_batch(const uint8_t *payload, const uint64_t *offs,
+                      const uint64_t *lens, int64_t n_total,
+                      const int32_t *nodes, int64_t n_nodes, const int32_t *ui,
+                      const int32_t *vi, int64_t n_pairs, int64_t k,
+                      int64_t *out);
+int repro_kdist_matrix(const uint8_t *payload, const uint64_t *offs,
+                       const uint64_t *lens, int64_t n_total,
+                       const int32_t *nodes, int64_t n_nodes, int64_t k,
+                       int64_t *out);
+int repro_kdist_checksum(const uint8_t *payload, const uint64_t *offs,
+                         const uint64_t *lens, int64_t n_total,
+                         const int32_t *nodes, int64_t n_nodes,
+                         uint64_t *out);
+int64_t repro_hld_pair(const uint8_t *payload, const uint64_t *offs,
+                       const uint64_t *lens, int64_t n_total, int64_t u,
+                       int64_t v);
+int64_t repro_freedman_pair(const uint8_t *payload, const uint64_t *offs,
+                            const uint64_t *lens, int64_t n_total, int64_t u,
+                            int64_t v);
+int64_t repro_kdist_pair(const uint8_t *payload, const uint64_t *offs,
+                         const uint64_t *lens, int64_t n_total, int64_t u,
+                         int64_t v, int64_t k);
 """
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
 #: path is just as memory-bound and the fused fill buys nothing
 _MAX_MATRIX_SIDE = 8192
+#: the k-distance kernels accept 1 <= k < 2**56 (``kd_k_ok`` in the C source)
+_MAX_K = 1 << 56
+#: pairs per C batch call: bounds the call's decode arena (about 0.4 MB
+#: for Freedman at n=65536), and so the heap a batch leaves resident
+_PAIRS_PER_CALL = 256
 
 
 class KernelError(RuntimeError):
@@ -193,13 +226,21 @@ def load():
     return NativeBackend(ffi, lib, path)
 
 
+def _answers(kind: str, values: list) -> list:
+    """Kernel results as query answers: k-distance's -1 means beyond k."""
+    if kind == "kdist":
+        return [None if value == -1 else value for value in values]
+    return values
+
+
 class NativeBackend:
     """Fused C kernels over ``LabelStore.buffers()`` data.
 
     Every public method returns ``None`` for anything the C side does not
-    support (scheme family, value ranges, corrupt streams) — the caller
-    falls back to the packed-Python path, which reproduces the reference
-    behaviour exactly, exceptions included.
+    support (scheme family, value ranges, corrupt streams), and a one-pair
+    function returns :data:`repro.kernels.DECLINED` — the caller falls back
+    to the packed-Python path, which reproduces the reference behaviour
+    exactly, exceptions included.
     """
 
     name = "native"
@@ -215,6 +256,21 @@ class NativeBackend:
 
     def tier_for(self, scheme) -> str:
         return "native" if _kind(scheme) else "python"
+
+    @staticmethod
+    def _family(store, scheme):
+        """``(kind, extra)`` when the C side serves ``scheme`` on ``store``, else ``None``.
+
+        ``extra`` holds the trailing scalar arguments of the family's entry
+        points: ``(k,)`` for k-distance, nothing for the exact families.
+        """
+        kind = _kind(scheme)
+        if kind is None or store.n >= 1 << 31:
+            return None
+        if kind != "kdist":
+            return kind, ()
+        k = scheme.k
+        return (kind, (k,)) if 1 <= k < _MAX_K else None
 
     # -- store marshalling ---------------------------------------------------
 
@@ -258,13 +314,27 @@ class NativeBackend:
     # -- fused entry points --------------------------------------------------
 
     def batch_query(self, store, scheme, pairs):
-        """Distances for ``pairs`` straight from the packed store, or ``None``."""
-        kind = _kind(scheme)
-        if kind is None or not pairs:
+        """Distances for ``pairs`` straight from the packed store, or ``None``.
+
+        The C side is called once per :data:`_PAIRS_PER_CALL` pairs, so its
+        decode arena, and the heap that arena leaves behind, stay the same
+        size whatever the batch length.
+        """
+        family = self._family(store, scheme)
+        if family is None or not pairs:
             return None
+        answers = []
+        for start in range(0, len(pairs), _PAIRS_PER_CALL):
+            part = self._batch_call(store, family, pairs[start : start + _PAIRS_PER_CALL])
+            if part is None:
+                return None
+            answers += part
+        return answers
+
+    def _batch_call(self, store, family, pairs):
+        """One C batch call: the answers for ``pairs``, or ``None``."""
+        kind, extra = family
         n_total = store.n
-        if n_total >= 1 << 31:
-            return None
         slots: dict[int, int] = {}
         nodes: list[int] = []
         for pair in pairs:
@@ -280,25 +350,23 @@ class NativeBackend:
         ui = ffi.new("int32_t[]", [slots[u] for u, _ in pairs])
         vi = ffi.new("int32_t[]", [slots[v] for _, v in pairs])
         out = ffi.new("int64_t[]", len(pairs))
-        fn = (
-            self.lib.repro_hld_batch if kind == "hld" else self.lib.repro_freedman_batch
-        )
+        fn = getattr(self.lib, f"repro_{kind}_batch")
         rc = fn(
-            payload, offs, lens, n_total, node_arr, len(nodes), ui, vi, len(pairs), out
+            payload, offs, lens, n_total, node_arr, len(nodes), ui, vi, len(pairs),
+            *extra, out,
         )
         if rc:
             return None
-        return ffi.unpack(out, len(pairs))
+        return _answers(kind, ffi.unpack(out, len(pairs)))
 
     def matrix_flat(self, store, scheme, targets):
         """Flat row-major all-pairs matrix over ``targets``, or ``None``."""
-        kind = _kind(scheme)
+        family = self._family(store, scheme)
         size = len(targets)
-        if kind is None or size == 0 or size > _MAX_MATRIX_SIDE:
+        if family is None or size == 0 or size > _MAX_MATRIX_SIDE:
             return None
+        kind, extra = family
         n_total = store.n
-        if n_total >= 1 << 31:
-            return None
         for node in targets:
             if not isinstance(node, int) or not 0 <= node < n_total:
                 return None
@@ -306,15 +374,36 @@ class NativeBackend:
         ffi = self.ffi
         node_arr = ffi.new("int32_t[]", list(targets))
         out = ffi.new("int64_t[]", size * size)
-        fn = (
-            self.lib.repro_hld_matrix
-            if kind == "hld"
-            else self.lib.repro_freedman_matrix
-        )
-        rc = fn(payload, offs, lens, n_total, node_arr, size, out)
+        fn = getattr(self.lib, f"repro_{kind}_matrix")
+        rc = fn(payload, offs, lens, n_total, node_arr, size, *extra, out)
         if rc:
             return None
-        return ffi.unpack(out, size * size)
+        return _answers(kind, ffi.unpack(out, size * size))
+
+    def pair_query(self, store, scheme):
+        """A one-pair query function over ``store``, or ``None``.
+
+        The function takes ``(u, v)`` and returns the answer (``None`` for
+        a k-distance pair beyond k) or :data:`repro.kernels.DECLINED`.  It
+        calls one scalar C entry with no ``ffi.new`` and no shared buffer,
+        so it is safe on any thread; a node that is not a C ``int64``
+        raises ``TypeError``/``OverflowError`` from cffi.
+        """
+        family = self._family(store, scheme)
+        if family is None:
+            return None
+        kind, extra = family
+        payload, offs, lens, n_total = self._store_arrays(store)
+        fn = getattr(self.lib, f"repro_{kind}_pair")
+        if kind != "kdist":
+            return functools.partial(fn, payload, offs, lens, n_total)
+        (k,) = extra
+
+        def pair(u, v):
+            answer = fn(payload, offs, lens, n_total, u, v, k)
+            return None if answer == -1 else answer
+
+        return pair
 
     def parse_checksum(self, store, scheme, nodes):
         """Field fold over the decoded labels of ``nodes``, or ``None``.
@@ -322,12 +411,10 @@ class NativeBackend:
         Matches :func:`repro.kernels.python_tier.fold_checksum` bit for bit;
         equal checksums certify the C decoder read every field identically.
         """
-        kind = _kind(scheme)
-        if kind is None or not nodes:
+        family = self._family(store, scheme)
+        if family is None or not nodes:
             return None
         n_total = store.n
-        if n_total >= 1 << 31:
-            return None
         for node in nodes:
             if not isinstance(node, int) or not 0 <= node < n_total:
                 return None
@@ -335,11 +422,7 @@ class NativeBackend:
         ffi = self.ffi
         node_arr = ffi.new("int32_t[]", list(nodes))
         out = ffi.new("uint64_t*")
-        fn = (
-            self.lib.repro_hld_checksum
-            if kind == "hld"
-            else self.lib.repro_freedman_checksum
-        )
+        fn = getattr(self.lib, f"repro_{family[0]}_checksum")
         rc = fn(payload, offs, lens, n_total, node_arr, len(nodes), out)
         if rc:
             return None

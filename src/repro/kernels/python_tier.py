@@ -8,39 +8,60 @@ the kernel benchmark compare the other tiers against.
 
 from __future__ import annotations
 
+from repro.core.freedman import FreedmanScheme
+from repro.core.hld import HLDScheme
+from repro.core.kdistance import KDistanceScheme
+
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 1469598103934665603
 _FNV_PRIME = 1099511628211
 
 
+#: the families with a native decoder, by exact type: a subclass may
+#: override ``distance``/``query`` semantics, which the C side knows nothing
+#: about
+_KINDS = {HLDScheme: "hld", FreedmanScheme: "freedman", KDistanceScheme: "kdist"}
+
+
 def _kind(scheme) -> str | None:
-    """``"hld"``/``"freedman"`` for the families with a native decoder, else ``None``.
-
-    Exact type checks: a subclass may override ``distance``/``query``
-    semantics, which the C side knows nothing about.
-    """
-    from repro.core.freedman import FreedmanScheme
-    from repro.core.hld import HLDScheme
-
-    if type(scheme) is HLDScheme:
-        return "hld"
-    if type(scheme) is FreedmanScheme:
-        return "freedman"
-    return None
+    """``"hld"``/``"freedman"``/``"kdist"`` for a family with a native decoder, else ``None``."""
+    return _KINDS.get(type(scheme))
 
 
 def fold_checksum(scheme, labels) -> int | None:
     """FNV-1a-style fold over every decoded field of ``labels`` (in order).
 
     The C kernels compute the identical fold over their own decode
-    (``repro_hld_checksum`` / ``repro_freedman_checksum``), so an equal
-    checksum certifies field-for-field agreement between the decoders.
-    Returns ``None`` for scheme families without a native decoder.
+    (``repro_<kind>_checksum``), so an equal checksum certifies
+    field-for-field agreement between the decoders.  Returns ``None`` for
+    scheme families without a native decoder.
     """
     kind = _kind(scheme)
     if kind is None:
         return None
     h = _FNV_OFFSET
+    if kind == "kdist":
+        for label in labels:
+            fields = [
+                label.pre,
+                label.light_depth,
+                int(label.has_extension),
+                int(label.compact),
+                label.alpha,
+                label.position_mod,
+            ]
+            for sequence in (
+                label.heights,
+                label.child_heights,
+                label.distances,
+                label.forward,
+                label.backward,
+            ):
+                fields.append(len(sequence))
+                fields.extend(sequence)
+            for value in fields:
+                h = ((h ^ value) * _FNV_PRIME) & _MASK64
+        return h
     if kind == "hld":
         for label in labels:
             h = ((h ^ label.root_distance) * _FNV_PRIME) & _MASK64
@@ -87,6 +108,9 @@ class PythonBackend:
         return None
 
     def matrix_flat(self, store, scheme, targets):
+        return None
+
+    def pair_query(self, store, scheme):
         return None
 
     def varint_many(self, data, start, count):

@@ -21,8 +21,8 @@ per-member pending list and the flush is scheduled with ``loop.call_soon``,
 which runs *after* every ``data_received`` callback of the current event-loop
 tick — so all queries that arrived in this tick, across every connection,
 are answered by **one** :meth:`QueryEngine.batch_query` call per member.
-For hld-fixed and Freedman that call is one fused kernel pass over the
-packed store; other schemes parse each distinct endpoint once through the
+For hld-fixed, Freedman and k-distance that call is one fused kernel pass
+over the packed store; other schemes parse each distinct endpoint once through the
 engine's parsed-label LRU.  The responses are written back with one
 ``transport.write`` per connection instead of one per request.  Under a
 pipelined client the serving cost per query drops to an append, a shared

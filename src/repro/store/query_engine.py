@@ -1,16 +1,18 @@
 """Query serving on top of a :class:`repro.store.LabelStore`.
 
-The engine is decoder-only: it sees packed bits, never the tree.  Batches
-and matrices go to the active kernel backend (:mod:`repro.kernels`) first;
-for hld-fixed and Freedman the native tier decodes and answers straight
-from :meth:`LabelStore.buffers`, with no Python-side parse at all.
+The engine is decoder-only: it sees packed bits, never the tree.  Single
+queries, batches and matrices go to the active kernel backend
+(:mod:`repro.kernels`) first; for hld-fixed, Freedman and k-distance the
+native tier decodes and answers straight from :meth:`LabelStore.buffers`,
+with no Python-side parse at all.  :meth:`QueryEngine.query` calls a
+one-pair C entry that its first call resolves, once per engine.
 
 Everything the kernel declines — other scheme families, the packed-Python
-floor, small batches, out-of-range nodes — runs through the scheme's own
-``parse``/``parse_many``.  Parsing a label dominates CPython query cost
-there, so the engine keeps a bounded LRU cache of parsed labels for
-:meth:`QueryEngine.query` and the Python batch path, which parses each
-distinct endpoint exactly once.
+floor, small batches, out-of-range nodes, corrupt labels — runs through
+the scheme's own ``parse_many``.  Parsing a label dominates CPython query
+cost there, so the engine keeps a bounded LRU cache of parsed labels for
+those declined :meth:`QueryEngine.query` calls and the Python batch path,
+which parses each distinct endpoint exactly once.
 
 The supply path is zero-string end to end: the store yields
 ``(node, packed_value, bit_length)`` words (:meth:`LabelStore.label_words`)
@@ -25,12 +27,15 @@ from collections import OrderedDict
 from typing import Iterable, Sequence
 
 from repro import kernels
+from repro.kernels import DECLINED
 from repro.store.label_store import LabelStore
 
 #: cache-miss sentinel: one ``dict.get`` resolves hit-or-miss without a
 #: second ``in`` lookup (``None`` is not usable — it is a valid label value
 #: only in theory, but the sentinel also guards against that)
 _MISSING = object()
+#: :attr:`QueryEngine._pair` before the first query resolves it
+_UNRESOLVED = object()
 
 
 class QueryEngine:
@@ -57,6 +62,9 @@ class QueryEngine:
         #: parsed-label cache statistics, exposed for benchmarks and tuning
         self.cache_hits = 0
         self.cache_misses = 0
+        #: the backend's one-pair function (``None``: no kernel for this
+        #: scheme on this tier), resolved by the first :meth:`query`
+        self._pair = _UNRESOLVED
 
     @classmethod
     def from_labels(cls, scheme, labels: dict[int, object], **kwargs) -> "QueryEngine":
@@ -76,7 +84,12 @@ class QueryEngine:
     # -- label parsing -------------------------------------------------------
 
     def parsed_label(self, node: int):
-        """The parsed label of ``node``, LRU-cached."""
+        """The parsed label of ``node``, LRU-cached.
+
+        A miss goes through the scheme's word-level ``parse_many`` supply
+        path, which raises :class:`~repro.store.StoreError` for a node out
+        of range.
+        """
         cache = self._cache
         label = cache.get(node, _MISSING)
         if label is not _MISSING:
@@ -84,7 +97,7 @@ class QueryEngine:
             self.cache_hits += 1
             return label
         self.cache_misses += 1
-        label = self.scheme.parse(self.store.label_bits(node))
+        label = self.scheme.parse_many(self.store, (node,))[node]
         cache[node] = label
         if len(cache) > self._cache_size:
             cache.popitem(last=False)
@@ -125,7 +138,23 @@ class QueryEngine:
     # -- queries -------------------------------------------------------------
 
     def query(self, u: int, v: int):
-        """One query; result semantics follow ``scheme.kind``."""
+        """One query; result semantics follow ``scheme.kind``.
+
+        The backend's one-pair kernel answers first, without touching the
+        parse cache.  When it declines (or there is none) the two labels
+        come from the LRU and ``scheme.query`` answers — which also raises
+        the reference error for a bad node or a corrupt label.
+        """
+        pair = self._pair
+        if pair is _UNRESOLVED:
+            pair = self._pair = kernels.backend().pair_query(self.store, self.scheme)
+        if pair is not None:
+            try:
+                answer = pair(u, v)
+            except (TypeError, OverflowError):  # not a C integer
+                answer = DECLINED
+            if answer != DECLINED:
+                return answer
         return self.scheme.query(self.parsed_label(u), self.parsed_label(v))
 
     def distance(self, u: int, v: int):
@@ -253,12 +282,12 @@ class QueryEngine:
     def cache_info(self) -> dict:
         """Hit/miss counters and current occupancy of the parsed-label cache.
 
-        The cache serves :meth:`query` and the Python batch path only: a
-        batch the kernel backend answers, and every matrix, leaves these
-        counters untouched.  ``hit_rate`` is therefore the lifetime fraction
+        The cache serves the Python paths only: a query or batch the
+        kernel backend answers, and every matrix, leaves these counters
+        untouched.  ``hit_rate`` is therefore the lifetime fraction
         of *those* lookups served from the cache (0.0 before any lookup).
-        ``backend`` is the kernel tier answering this engine's batched
-        queries (``native``/``python``; see :mod:`repro.kernels`) — per
+        ``backend`` is the kernel tier answering this engine's queries
+        (``native``/``python``; see :mod:`repro.kernels`) — per
         scheme, so an engine whose scheme has no native kernel honestly
         reports ``python`` even when the native tier is loaded.
         """

@@ -7,20 +7,24 @@ tier selection degrades gracefully: a missing compiler or a corrupt shared
 library must never break a query, only change which tier answers it.  These tests force each tier through
 ``REPRO_KERNELS``, sabotage the native library through
 ``REPRO_KERNELS_LIB``, and run hypothesis differentials of
-``batch_query``/``matrix_into`` across every registered scheme spec.
+``query``/``batch_query``/``matrix_into`` across every registered scheme
+spec.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.registry import make_scheme_from_spec
 from repro.generators.workloads import make_tree, random_pairs
+from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import LabelStore, QueryEngine, StoreError
 from repro.testing import parent_array_trees
 
@@ -37,6 +41,9 @@ ALL_SPECS = [
     "k-distance:k=3",
     "approximate:epsilon=0.5",
 ]
+
+#: the families with a native kernel, k-distance in both regimes
+NATIVE_SPECS = ["hld-fixed", "freedman", "k-distance:k=3", "k-distance:k=4,mode=simple"]
 
 
 @pytest.fixture(autouse=True)
@@ -161,10 +168,11 @@ def _answers_under(tier, store, spec, pairs, nodes):
     with forced_tier(tier):
         scheme = make_scheme_from_spec(spec)
         engine = QueryEngine(store, scheme=scheme)
-        return engine.batch_query(pairs), engine.matrix_into(nodes)
+        singles = [engine.query(u, v) for u, v in pairs]
+        return singles, engine.batch_query(pairs), engine.matrix_into(nodes)
 
 
-@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
 def test_fused_tiers_match_python_on_large_batches(spec):
     """Batches past every ``min_batch`` so the fused kernels really engage."""
     tree = make_tree("random", 300, seed=41)
@@ -194,9 +202,9 @@ def test_all_specs_identical_across_tiers(tree):
             )
 
 
-@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
 def test_fused_paths_leave_cache_info_unchanged(spec):
-    """A batch or matrix the kernel answers never touches the parse LRU."""
+    """A query, batch or matrix the kernel answers never touches the parse LRU."""
     if "native" not in available_tiers():
         pytest.skip("native tier not available in this environment")
     tree = make_tree("random", 200, seed=47)
@@ -204,21 +212,24 @@ def test_fused_paths_leave_cache_info_unchanged(spec):
     pairs = random_pairs(tree, 400, seed=53)
     with forced_tier("native"):
         engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
-        engine.query(0, 1)  # some prior LRU state the fused calls must keep
+        engine.parsed_label(0)  # some prior LRU state the fused calls must keep
         before = engine.cache_info()
         assert before["backend"] == "native"
+        for u, v in pairs:
+            engine.query(u, v)
         engine.batch_query(pairs)
         engine.distance_matrix(list(range(60)))
         engine.matrix_into(list(range(60)))
         assert engine.cache_info() == before
 
 
-def _pairs_with(bad_node: int, count: int = 32) -> list[tuple[int, int]]:
-    """``count`` in-range pairs (past every ``min_batch``) plus one bad one."""
-    return [(i, i + 1) for i in range(count)] + [(3, bad_node)]
+def _pairs_with(bad_node: int, count: int = 300) -> list[tuple[int, int]]:
+    """``count`` in-range pairs (past ``min_batch`` and one C batch call's
+    worth, so the bad pair reaches a later call) plus one bad one."""
+    return [(i % 50, i % 50 + 1) for i in range(count)] + [(3, bad_node)]
 
 
-@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
 def test_out_of_range_node_raises_on_every_tier(spec):
     """The kernel declines a bad node; the Python path then raises."""
     tree = make_tree("random", 100, seed=71)
@@ -234,9 +245,13 @@ def test_out_of_range_node_raises_on_every_tier(spec):
                     engine.matrix_into(nodes)
                 with pytest.raises(StoreError):
                     engine.distance_matrix(nodes)
+                with pytest.raises(StoreError):
+                    engine.query(3, bad)
+            with pytest.raises(StoreError):
+                engine.query(1 << 70, 0)  # beyond a C int64: never reaches the kernel
 
 
-@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
 def test_parse_checksums_agree_across_tiers(spec):
     """Every tier's decoder reads the exact same fields from the stream."""
     tree = make_tree("random", 150, seed=59)
@@ -251,6 +266,95 @@ def test_parse_checksums_agree_across_tiers(spec):
             checksums[tier] = checksum
     assert "python" in checksums
     assert len(set(checksums.values())) == 1, checksums
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_parsed_label_matches_reference_parse(spec):
+    """The LRU miss path (word-level ``parse_many``) parses like ``parse``."""
+    tree = make_tree("random", 70, seed=89)
+    scheme = make_scheme_from_spec(spec)
+    store = LabelStore.encode_tree(scheme, tree)
+    engine = QueryEngine(store, scheme=scheme)
+    for node in range(store.n):
+        assert engine.parsed_label(node) == scheme.parse(store.label_bits(node))
+    for bad in (-1, store.n):
+        with pytest.raises(StoreError):
+            engine.parsed_label(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["random", "caterpillar", "broom", "balanced_binary", "spider"]),
+    n=st.integers(min_value=1, max_value=36),
+    seed=st.integers(min_value=0, max_value=1000),
+    k=st.integers(min_value=1, max_value=6),
+    mode=st.sampled_from(["compact", "simple"]),
+)
+def test_kdistance_single_query_matches_oracle_on_every_tier(family, n, seed, k, mode):
+    """``query()`` parity across tiers, and against the bounded oracle answer.
+
+    All pairs, so ``u == v`` and pairs beyond k are always included.
+    """
+    tree = make_tree(family, n, seed=seed)
+    spec = f"k-distance:k={k},mode={mode}"
+    store = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
+    oracle = TreeDistanceOracle(tree)
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    expected = []
+    for u, v in pairs:
+        distance = oracle.distance(u, v)
+        expected.append(distance if distance <= k else None)
+    for tier in available_tiers():
+        with forced_tier(tier):
+            engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+            assert [engine.query(u, v) for u, v in pairs] == expected, tier
+
+
+def _outcome(call):
+    """An answer, or the class of the exception raised instead."""
+    try:
+        return ("answer", call())
+    except Exception as error:  # the class is what the tiers must agree on
+        return ("raised", type(error))
+
+
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
+def test_corrupt_labels_fail_alike_on_every_tier(spec):
+    """Corrupt label bytes: the same answer or the same exception class per tier.
+
+    The C decoder declines whatever it cannot read or where the Python
+    decoder would index past a field, so the Python path decides both.
+    """
+    tree = make_tree("random", 40, seed=97)
+    clean = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
+    header = len(clean.header_bytes())
+    _, offsets, _ = clean.buffers()
+    rng = random.Random(101)
+    raised = 0
+    for trial in range(40):
+        data = bytearray(clean.to_bytes())
+        node = rng.randrange(clean.n)
+        start, end = header + offsets[node], header + offsets[node + 1]
+        if trial % 4 == 0:
+            data[start:end] = bytes(end - start)  # all zeros: unterminated codes
+        elif trial % 4 == 1:
+            data[start:end] = b"\xff" * (end - start)
+        else:
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(start, end)] ^= 1 << rng.randrange(8)
+        store = LabelStore.from_bytes(bytes(data))
+        pairs = [(node, other) for other in range(store.n)]
+        pairs += [(other, node) for other in range(store.n)]
+        outcomes = {}
+        for tier in available_tiers():
+            with forced_tier(tier):
+                engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+                outcomes[tier] = [_outcome(lambda: engine.query(u, v)) for u, v in pairs]
+        reference = outcomes["python"]
+        raised += sum(kind == "raised" for kind, _ in reference)
+        for tier, got in outcomes.items():
+            assert got == reference, (tier, trial)
+    assert raised > 0  # the corruptions did reach the error paths
 
 
 def test_store_roundtrip_identical_across_tiers():
