@@ -40,7 +40,7 @@
 #define MAX_COUNT (1u << 20)
 #define MAX_VALUE_BITS 56
 
-#define ABI_VERSION 4
+#define ABI_VERSION 5
 
 int repro_kernels_abi(void) { return ABI_VERSION; }
 
@@ -173,26 +173,37 @@ static int br_monotone(br_t *r, vec_t *out, uint32_t *count_out) {
 
 /* -- generic bulk primitives --------------------------------------------- */
 
-/* ``count`` LEB128 varints starting at byte ``start``; mirrors
- * repro.encoding.varint.decode_uvarint including its 64-bit-shift cap. */
+/* One LEB128 varint from buf[*pos, end) into *out, advancing *pos; 1 (and
+ * nothing consumed) where repro.encoding.varint.decode_uvarint would raise
+ * — truncated, or a 64-bit shift exceeded — or the value needs more than
+ * 64 bits, which decode_uvarint accepts but C cannot hold. */
+static inline int uvarint_at(const uint8_t *buf, uint64_t end, uint64_t *pos,
+                             uint64_t *out) {
+    uint64_t p = *pos;
+    uint64_t value = 0;
+    uint32_t shift = 0;
+    for (;;) {
+        uint8_t byte;
+        if (p >= end) return E_FALLBACK;
+        byte = buf[p++];
+        if (shift == 63 && (byte & 0x7Eu)) return E_FALLBACK;
+        value |= ((uint64_t)(byte & 0x7Fu)) << shift;
+        if (!(byte & 0x80u)) break;
+        shift += 7;
+        if (shift > 63) return E_FALLBACK;
+    }
+    *pos = p;
+    *out = value;
+    return E_OK;
+}
+
+/* ``count`` LEB128 varints starting at byte ``start``. */
 int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
                       uint64_t count, uint64_t *out, uint64_t *end_pos) {
     uint64_t pos = start;
     uint64_t i;
     for (i = 0; i < count; i++) {
-        uint64_t value = 0;
-        uint32_t shift = 0;
-        for (;;) {
-            uint8_t byte;
-            if (pos >= buf_len) return E_FALLBACK;
-            byte = buf[pos++];
-            if (shift == 63 && (byte & 0x7Eu)) return E_FALLBACK;
-            value |= ((uint64_t)(byte & 0x7Fu)) << shift;
-            if (!(byte & 0x80u)) break;
-            shift += 7;
-            if (shift > 63) return E_FALLBACK;
-        }
-        out[i] = value;
+        if (uvarint_at(buf, buf_len, &pos, &out[i])) return E_FALLBACK;
     }
     *end_pos = pos;
     return E_OK;
@@ -1101,4 +1112,99 @@ int repro_kdist_checksum(const uint8_t *payload, const uint64_t *offs,
     kd_arena_free(&a);
     *out = h;
     return E_OK;
+}
+
+/* -- RSP/1 QUERY lane ------------------------------------------------------
+ *
+ * The serving hot path, mirroring repro.serve.protocol: a frame is
+ * uvarint(len(body)) + body, and a plain QUERY body is
+ *   0x01, uvarint request_id, uvarint len(name), name, uvarint u, uvarint v
+ * with nothing after v.  The request bytes are untrusted: every read is
+ * bounded by the buffer and, inside a frame, by the frame, and anything
+ * unusual ends the run unconsumed so the Python decoder meets it and
+ * answers as it always has. */
+
+#define RSP_OP_QUERY 0x01u
+#define RSP_OP_RESULT 0x81u
+#define RSP_KIND_EXACT 0
+#define RSP_KIND_BOUNDED 1
+#define RSP_MAX_FRAME_BYTES (64ull * 1024 * 1024)
+
+/* Decode the leading run of complete plain QUERY frames for member ``name``
+ * from buf[start, len), at most ``max_frames`` of them.  Frame i's request
+ * id goes to ids[i] and its pair to nodes[2i], nodes[2i + 1] — the node
+ * layout the batch kernels take with even/odd slot indexes.  Returns the
+ * frame count and stores the offset after the last one in *end_pos.  The
+ * run stops, without consuming, at the first frame that is incomplete, has
+ * another opcode or member name, carries a suffix field or trailing bytes,
+ * has u or v >= 2^31, or has a varint uvarint_at rejects. */
+int64_t repro_rsp_queries(const uint8_t *buf, uint64_t len, uint64_t start,
+                          const uint8_t *name, uint64_t name_len,
+                          int64_t max_frames, uint64_t *ids, int32_t *nodes,
+                          uint64_t *end_pos) {
+    uint64_t pos = start;
+    int64_t n = 0;
+    while (n < max_frames) {
+        uint64_t p = pos, body_len, body_end, request_id, got_len, u, v;
+        if (uvarint_at(buf, len, &p, &body_len)) break;
+        if (body_len > RSP_MAX_FRAME_BYTES || body_len > len - p) break;
+        body_end = p + body_len;
+        if (p == body_end || buf[p] != RSP_OP_QUERY) break;
+        p++;
+        if (uvarint_at(buf, body_end, &p, &request_id)) break;
+        if (uvarint_at(buf, body_end, &p, &got_len)) break;
+        if (got_len != name_len || got_len > body_end - p) break;
+        if (name_len && memcmp(buf + p, name, name_len)) break;
+        p += name_len;
+        if (uvarint_at(buf, body_end, &p, &u) || u > INT32_MAX) break;
+        if (uvarint_at(buf, body_end, &p, &v) || v > INT32_MAX) break;
+        if (p != body_end) break;
+        ids[n] = request_id;
+        nodes[2 * n] = (int32_t)u;
+        nodes[2 * n + 1] = (int32_t)v;
+        n++;
+        pos = body_end;
+    }
+    *end_pos = pos;
+    return n;
+}
+
+static inline uint8_t *uvarint_put(uint8_t *out, uint64_t value) {
+    while (value >= 0x80u) {
+        *out++ = (uint8_t)(value | 0x80u);
+        value >>= 7;
+    }
+    *out++ = (uint8_t)value;
+    return out;
+}
+
+/* One single-value RESULT frame per (ids[i], values[i]) into ``out``, which
+ * must hold 25 * n bytes; returns the bytes written, or -1 for a kind other
+ * than exact and bounded.  Bounded values of -1 are "beyond k".  Byte for
+ * byte repro.serve.protocol.encode_result_block: the body is at most 24
+ * bytes, so its length prefix is one byte. */
+int64_t repro_rsp_results(int32_t kind, const uint64_t *ids,
+                          const int64_t *values, int64_t n, uint8_t *out) {
+    uint8_t *w = out;
+    int64_t i;
+    if (kind != RSP_KIND_EXACT && kind != RSP_KIND_BOUNDED) return -1;
+    for (i = 0; i < n; i++) {
+        uint8_t *length = w++;
+        uint8_t *body = w;
+        *w++ = RSP_OP_RESULT;
+        w = uvarint_put(w, ids[i]);
+        *w++ = (uint8_t)kind;
+        *w++ = 1; /* value count */
+        if (kind == RSP_KIND_BOUNDED) {
+            if (values[i] == -1) {
+                *w++ = 0;
+                *length = (uint8_t)(w - body);
+                continue;
+            }
+            *w++ = 1;
+        }
+        w = uvarint_put(w, (uint64_t)values[i]);
+        *length = (uint8_t)(w - body);
+    }
+    return (int64_t)(w - out);
 }

@@ -4,6 +4,9 @@ The C side decodes and answers hld-fixed, Freedman and k-distance labels
 straight from the store's buffers: a batch, a matrix, a parse checksum, or
 one pair (the scalar ``repro_<kind>_pair`` entries behind
 :meth:`NativeBackend.pair_query`, which ``QueryEngine.query`` calls first).
+It also carries the server's QUERY lane (:class:`QueryLane`): an RSP/1
+decoder for runs of plain QUERY frames and an encoder for their RESULT
+frames, so a pipelined query never becomes a Python object on the server.
 
 Loading follows the quisk pattern (SNIPPETS.md Snippet 1): the shared
 library is a pure accelerator, never a dependency.  ``load()`` either
@@ -36,12 +39,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from array import array
 
 from repro.kernels.python_tier import _kind
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -95,6 +99,12 @@ int64_t repro_freedman_pair(const uint8_t *payload, const uint64_t *offs,
 int64_t repro_kdist_pair(const uint8_t *payload, const uint64_t *offs,
                          const uint64_t *lens, int64_t n_total, int64_t u,
                          int64_t v, int64_t k);
+int64_t repro_rsp_queries(const uint8_t *buf, uint64_t len, uint64_t start,
+                          const uint8_t *name, uint64_t name_len,
+                          int64_t max_frames, uint64_t *ids, int32_t *nodes,
+                          uint64_t *end_pos);
+int64_t repro_rsp_results(int32_t kind, const uint64_t *ids,
+                          const int64_t *values, int64_t n, uint8_t *out);
 """
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
@@ -105,6 +115,8 @@ _MAX_K = 1 << 56
 #: pairs per C batch call: bounds the call's decode arena (about 0.4 MB
 #: for Freedman at n=65536), and so the heap a batch leaves resident
 _PAIRS_PER_CALL = 256
+#: bytes of one single-value RESULT frame at most (``repro_rsp_results``)
+_RESULT_FRAME_MAX = 25
 
 
 class KernelError(RuntimeError):
@@ -244,13 +256,16 @@ class NativeBackend:
     """
 
     name = "native"
-    #: below this many pairs the per-call marshalling overhead beats the win
-    min_batch = 16
 
     def __init__(self, ffi, lib, path: str) -> None:
         self.ffi = ffi
         self.lib = lib
         self.path = path
+        #: uncleared allocations: the lane's buffers are written before read
+        self.alloc = ffi.new_allocator(should_clear_after_alloc=False)
+        #: slot indexes of a lane chunk's pairs in its interleaved nodes
+        self._even = ffi.new("int32_t[]", list(range(0, 2 * _PAIRS_PER_CALL, 2)))
+        self._odd = ffi.new("int32_t[]", list(range(1, 2 * _PAIRS_PER_CALL, 2)))
 
     # -- scheme dispatch -----------------------------------------------------
 
@@ -316,6 +331,9 @@ class NativeBackend:
     def batch_query(self, store, scheme, pairs):
         """Distances for ``pairs`` straight from the packed store, or ``None``.
 
+        ``pairs`` is a sequence of ``(u, v)``, answered as a list, or a
+        :class:`QueryLane`, answered as a C ``int64_t`` array of
+        ``len(pairs)`` raw kernel values (k-distance's -1 means beyond k).
         The C side is called once per :data:`_PAIRS_PER_CALL` pairs, so its
         decode arena, and the heap that arena leaves behind, stay the same
         size whatever the batch length.
@@ -323,6 +341,8 @@ class NativeBackend:
         family = self._family(store, scheme)
         if family is None or not pairs:
             return None
+        if isinstance(pairs, QueryLane):
+            return self._lane_call(store, family, pairs)
         answers = []
         for start in range(0, len(pairs), _PAIRS_PER_CALL):
             part = self._batch_call(store, family, pairs[start : start + _PAIRS_PER_CALL])
@@ -330,6 +350,24 @@ class NativeBackend:
                 return None
             answers += part
         return answers
+
+    def _lane_call(self, store, family, lane):
+        """The lane's pairs through the batch kernel, or ``None``."""
+        kind, extra = family
+        payload, offs, lens, n_total = self._store_arrays(store)
+        count = lane.fill
+        out = self.alloc("int64_t[]", count)
+        nodes = lane.nodes
+        fn = getattr(self.lib, f"repro_{kind}_batch")
+        even, odd = self._even, self._odd
+        for start in range(0, count, _PAIRS_PER_CALL):
+            size = min(_PAIRS_PER_CALL, count - start)
+            if fn(
+                payload, offs, lens, n_total, nodes + 2 * start, 2 * size,
+                even, odd, size, *extra, out + start,
+            ):
+                return None
+        return out
 
     def _batch_call(self, store, family, pairs):
         """One C batch call: the answers for ``pairs``, or ``None``."""
@@ -405,6 +443,13 @@ class NativeBackend:
 
         return pair
 
+    def query_lane(self, store, scheme, name: str, capacity: int):
+        """A :class:`QueryLane` for member ``name`` over ``store``, or ``None``
+        when the C side does not serve ``scheme`` there."""
+        if self._family(store, scheme) is None:
+            return None
+        return QueryLane(self, name, capacity)
+
     def parse_checksum(self, store, scheme, nodes):
         """Field fold over the decoded labels of ``nodes``, or ``None``.
 
@@ -431,17 +476,22 @@ class NativeBackend:
     # -- bulk codec primitives ----------------------------------------------
 
     def varint_many(self, data, start, count):
-        """Decode ``count`` LEB128 varints; ``(values, end_offset)`` or ``None``."""
+        """Decode ``count`` LEB128 varints; ``(values, end_offset)`` or ``None``.
+
+        ``values`` is an ``array('Q')`` the C side fills in place: a store
+        open holds one index allocation, not ``count`` Python ints.
+        """
         if count >= 1 << 31:
             return None
         ffi = self.ffi
         buf = ffi.from_buffer("uint8_t[]", data) if len(data) else ffi.new("uint8_t[]", 1)
-        out = ffi.new("uint64_t[]", max(count, 1))
+        values = array("Q", bytes(8 * count))
+        out = ffi.from_buffer("uint64_t[]", values) if count else ffi.new("uint64_t[]", 1)
         end = ffi.new("uint64_t*")
         rc = self.lib.repro_varint_many(buf, len(data), start, count, out, end)
         if rc:
             return None
-        return ffi.unpack(out, count), int(end[0])
+        return values, int(end[0])
 
     def gamma_many(self, data, bit_start, bit_end, count):
         """Decode ``count`` Elias gamma codes; ``(values, end_bit)`` or ``None``."""
@@ -464,3 +514,73 @@ class NativeBackend:
         if rc:
             return None
         return ffi.unpack(out, count), int(end[0])
+
+
+class QueryLane:
+    """Plain QUERY frames for one served member, decoded in C.
+
+    The server's native lane: :meth:`take` decodes the leading run of
+    plain QUERY frames (no trace or route suffix) for the member ``name``
+    straight from a connection's receive buffer into C arrays — request ids
+    in :attr:`ids`, pair ``i`` at ``nodes[2i]``/``nodes[2i + 1]``.
+    :meth:`NativeBackend.batch_query` answers all :attr:`fill` of them, and
+    :meth:`encode` renders a run's RESULT frames.  A frame the lane does
+    not take stays in the buffer for the Python decoder.
+    """
+
+    __slots__ = (
+        "_ffi", "_lib", "_alloc", "_name", "_name_len", "_end", "ids", "nodes", "fill",
+        "capacity",
+    )
+
+    def __init__(self, backend: NativeBackend, name: str, capacity: int) -> None:
+        ffi = backend.ffi
+        self._ffi = ffi
+        self._lib = backend.lib
+        self._alloc = backend.alloc
+        encoded = name.encode("utf-8")
+        self._name = ffi.new("uint8_t[]", encoded or b"\0")
+        self._name_len = len(encoded)
+        self._end = ffi.new("uint64_t *")
+        self.capacity = capacity
+        self.ids = backend.alloc("uint64_t[]", capacity)
+        self.nodes = backend.alloc("int32_t[]", 2 * capacity)
+        self.fill = 0
+
+    def __len__(self) -> int:
+        return self.fill
+
+    def take(self, buffer, pos: int, limit: int) -> tuple[int, int]:
+        """Decode up to ``limit`` frames of ``buffer`` from ``pos`` on.
+
+        Returns ``(count, end)``: the frames appended after the current
+        :attr:`fill` (which grows by ``count``) and the offset after them.
+        """
+        fill = self.fill
+        limit = min(limit, self.capacity - fill)
+        if limit <= 0 or pos >= len(buffer):
+            return 0, pos
+        count = self._lib.repro_rsp_queries(
+            self._ffi.from_buffer(buffer), len(buffer), pos, self._name,
+            self._name_len, limit, self.ids + fill, self.nodes + 2 * fill, self._end,
+        )
+        self.fill = fill + count
+        return count, self._end[0]
+
+    def pair(self, index: int) -> tuple[int, int, int]:
+        """``(request_id, u, v)`` of frame ``index``."""
+        nodes = self.nodes
+        return self.ids[index], nodes[2 * index], nodes[2 * index + 1]
+
+    def encode(self, kind: int, values, start: int, count: int) -> bytes:
+        """RESULT frames for frames ``start`` .. ``start + count - 1``, whose
+        answers are ``values[start:]`` — byte for byte
+        :func:`repro.serve.protocol.encode_result_block` (exact and bounded
+        kinds only)."""
+        out = self._alloc("uint8_t[]", _RESULT_FRAME_MAX * count)
+        size = self._lib.repro_rsp_results(
+            kind, self.ids + start, values + start, count, out
+        )
+        if size < 0:
+            raise ValueError(f"the lane encodes exact and bounded results, not kind {kind}")
+        return self._ffi.buffer(out, size)[:]

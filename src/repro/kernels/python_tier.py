@@ -98,8 +98,6 @@ class PythonBackend:
     """The packed-Python floor: fused entry points decline, callers fall back."""
 
     name = "python"
-    #: effectively infinite — the engine never routes through this backend
-    min_batch = 1 << 62
 
     def tier_for(self, scheme) -> str:
         return "python"
@@ -111,6 +109,9 @@ class PythonBackend:
         return None
 
     def pair_query(self, store, scheme):
+        return None
+
+    def query_lane(self, store, scheme, name, capacity):
         return None
 
     def varint_many(self, data, start, count):

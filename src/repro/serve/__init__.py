@@ -11,9 +11,10 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   — the socket-free per-process serving engine and its asyncio TCP
   wrapper.  The engine's **micro-batching coalescer** gathers every QUERY
   that arrives in one event-loop tick, across all connections, into a
-  single ``QueryEngine.batch_query`` call per member and a single response
-  write per connection; a bounded pending queue sheds overload with BUSY,
-  and MATRIX requests run on a thread executor;
+  single kernel batch call per member; on the native tier its **QUERY
+  lane** decodes each read's run of plain QUERY frames and encodes their
+  RESULT frames in C, one write per read.  A bounded pending queue sheds
+  overload with BUSY, and MATRIX requests run on a thread executor;
 * :class:`FleetSupervisor` (:mod:`repro.serve.supervisor`) — shard-per-core
   serving as a *supervised* fleet: N pre-forked workers (one
   :class:`LabelServer` each) sharing one listening address via

@@ -681,6 +681,10 @@ class AsyncLabelClient(_Client):
         self._closed = False
         self._route_pool: dict[tuple[str, int], AsyncLabelClient] = {}
         self._route_lock = asyncio.Lock()
+        #: one caller at a time replaces a lost connection
+        self._reconnect_lock = asyncio.Lock()
+        #: frames sent this event-loop tick, written together at its end
+        self._outbox: list[bytes] | None = None
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     @staticmethod
@@ -719,29 +723,38 @@ class AsyncLabelClient(_Client):
         except (ConnectionError, OSError):  # pragma: no cover - already dead
             pass
 
-    async def _reconnect(self, drops: int, error: Exception) -> None:
-        """Replace the connection lost to ``error`` (drop number ``drops``)."""
-        delay = self.core.reconnect_delay(drops, 0, error)
-        await self._close_stream()
-        refused = 0
-        while True:
-            await asyncio.sleep(delay)
-            try:
-                self._reader, self._writer = await self._open(*self._remote)
-            except OSError as refusal:
-                refused += 1
-                delay = self.core.reconnect_delay(drops, refused, refusal)
-                continue
-            break
-        # in-flight futures were already failed by the dying read loop;
-        # anything still registered belongs to the dead connection
-        for future in self._waiting.values():
-            if not future.done():  # pragma: no cover - defensive
-                future.set_exception(ConnectionError("connection was replaced"))
-        self._waiting.clear()
-        self._broken = None
-        self.core.reconnected()
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
+    async def _reconnect(self, drops: int, error: Exception, lost: asyncio.Task) -> None:
+        """Replace the connection lost to ``error`` (drop number ``drops``).
+
+        ``lost`` is the read loop of the connection the caller saw fail:
+        the concurrent callers that lost one connection replace it once,
+        and the first to get here does it.
+        """
+        async with self._reconnect_lock:
+            if lost is not self._reader_task:
+                return  # already replaced
+            delay = self.core.reconnect_delay(drops, 0, error)
+            await self._close_stream()
+            refused = 0
+            while True:
+                await asyncio.sleep(delay)
+                try:
+                    self._reader, self._writer = await self._open(*self._remote)
+                except OSError as refusal:
+                    refused += 1
+                    delay = self.core.reconnect_delay(drops, refused, refusal)
+                    continue
+                break
+            # in-flight futures were already failed by the dying read loop;
+            # anything still registered belongs to the dead connection
+            for future in self._waiting.values():
+                if not future.done():  # pragma: no cover - defensive
+                    future.set_exception(ConnectionError("connection was replaced"))
+            self._waiting.clear()
+            self._outbox = None  # frames for the old connection: see _write_outbox
+            self._broken = None
+            self.core.reconnected()
+            self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     async def close(self) -> None:
         """Cancel the reader task and close the connection (pool included)."""
@@ -785,14 +798,33 @@ class AsyncLabelClient(_Client):
         """Send one attempt of ``request`` under a fresh id; the future
         resolves to ``(op, payload)`` or fails with the server's error (no
         retry).  Fails fast when the reader is gone: nothing would ever
-        resolve a future registered after that point."""
+        resolve a future registered after that point.
+
+        The frame joins this tick's outbox, so concurrent requests cost
+        the server one read and the client one ``write`` per tick.
+        """
         if self._reader_task.done():
             raise self._broken or ConnectionError("client connection is closed")
         request_id = next(self.core.ids)
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._waiting[request_id] = future
-        self._writer.write(self.core.frame(request, request_id))
+        frame = self.core.frame(request, request_id)
+        outbox = self._outbox
+        if outbox is None:
+            outbox = self._outbox = []
+            loop.call_soon(self._write_outbox, self._writer, outbox)
+        outbox.append(frame)
         return future
+
+    def _write_outbox(self, writer: asyncio.StreamWriter, frames: list) -> None:
+        """Write one tick's frames in one call.  Frames for a writer that
+        has since been replaced are dropped: their futures failed with the
+        old connection's read loop, and :meth:`_call` sends them again."""
+        if self._outbox is frames:
+            self._outbox = None
+        if writer is self._writer:
+            writer.write(b"".join(frames))
 
     async def _call(self, request: tuple):
         """``request``'s value, retrying BUSY sheds and, for address-aware
@@ -800,6 +832,7 @@ class AsyncLabelClient(_Client):
         core = self.core
         busy = drops = 0
         while True:
+            connection = self._reader_task
             try:
                 return core.finish(request, await self._send(request))
             except ServerBusy as shed:
@@ -809,7 +842,7 @@ class AsyncLabelClient(_Client):
                 if self._remote is None or self._closed:
                     raise
                 drops += 1
-                await self._reconnect(drops, error)
+                await self._reconnect(drops, error, connection)
 
     # -- member-aware routing -------------------------------------------------
 
@@ -878,10 +911,11 @@ class AsyncLabelClient(_Client):
     async def _pipeline(self, run: PipelineRun, raw: bool, window: int) -> list:
         reconnectable = self._remote is not None
         while run.todo:
+            connection = self._reader_task
             outcomes = await self._pipeline_pass(*run.next_pass(), window)
             delay, lost = run.settle(outcomes, reconnectable and not self._closed)
             if lost is not None:
-                await self._reconnect(run.drops, lost)
+                await self._reconnect(run.drops, lost, connection)
             if delay:
                 await asyncio.sleep(delay)
         return run.results(raw)

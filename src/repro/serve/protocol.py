@@ -116,40 +116,54 @@ class FrameDecoder:
     Feed arbitrary chunks with :meth:`feed`; iterate complete frame bodies
     with :meth:`frames`.  Partial frames stay buffered between feeds, so the
     decoder works equally under ``data_received`` callbacks and blocking
-    ``recv`` loops.
+    ``recv`` loops.  :meth:`frame_at` and :meth:`discard` are the same split
+    one frame at a time, for a caller that consumes parts of
+    :attr:`buffer` itself (the server's native QUERY lane).
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("buffer",)
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self.buffer = bytearray()
 
     def feed(self, data: bytes) -> None:
         """Append a received chunk."""
-        self._buffer += data
+        self.buffer += data
+
+    def frame_at(self, pos: int) -> tuple[bytes, int] | None:
+        """The complete frame at offset ``pos`` as ``(body, end_offset)``,
+        or ``None`` while it is still incomplete."""
+        buffer = self.buffer
+        total = len(buffer)
+        if pos >= total:
+            return None
+        # a frame's length prefix may itself be split across chunks
+        try:
+            length, body_start = decode_uvarint(buffer, pos)
+        except ValueError:
+            if total - pos >= 10:  # no legal frame length needs 10 bytes: corrupt
+                raise ProtocolError("corrupt frame length prefix") from None
+            return None
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame of {length} bytes exceeds the limit")
+        end = body_start + length
+        if end > total:
+            return None
+        return bytes(buffer[body_start:end]), end
+
+    def discard(self, pos: int) -> None:
+        """Drop the first ``pos`` buffered bytes (frames already consumed)."""
+        if pos:
+            del self.buffer[:pos]
 
     def frames(self) -> list[bytes]:
         """Every complete frame body currently buffered, oldest first."""
-        buffer = self._buffer
         out: list[bytes] = []
         pos = 0
-        total = len(buffer)
-        while pos < total:
-            # a frame's length prefix may itself be split across chunks
-            try:
-                length, body_start = decode_uvarint(buffer, pos)
-            except ValueError:
-                if total - pos >= 10:  # a uvarint never needs 10 bytes: corrupt
-                    raise ProtocolError("corrupt frame length prefix") from None
-                break
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(f"frame of {length} bytes exceeds the limit")
-            if body_start + length > total:
-                break
-            out.append(bytes(buffer[body_start : body_start + length]))
-            pos = body_start + length
-        if pos:
-            del buffer[:pos]
+        while (frame := self.frame_at(pos)) is not None:
+            body, pos = frame
+            out.append(body)
+        self.discard(pos)
         return out
 
 

@@ -20,13 +20,24 @@ requests are not answered one at a time.  Each one is appended to a
 per-member pending list and the flush is scheduled with ``loop.call_soon``,
 which runs *after* every ``data_received`` callback of the current event-loop
 tick — so all queries that arrived in this tick, across every connection,
-are answered by **one** :meth:`QueryEngine.batch_query` call per member.
-For hld-fixed, Freedman and k-distance that call is one fused kernel pass
-over the packed store; other schemes parse each distinct endpoint once through the
-engine's parsed-label LRU.  The responses are written back with one
-``transport.write`` per connection instead of one per request.  Under a
-pipelined client the serving cost per query drops to an append, a shared
-batch slot and a shared write.
+are answered by **one** batch call per member.
+
+For hld-fixed, Freedman and k-distance on the native tier, plain QUERY
+frames (no trace or route suffix) never become Python objects: the
+**native lane** (:class:`repro.kernels.native.QueryLane`) decodes each
+read's run of them in one C call into the member's request-id and node
+arrays, the flush answers every queued frame with one fused kernel pass
+over the packed store, and each run's RESULT frames are encoded in one C
+call and sent with one write.  Histograms are updated once per run.  A
+connection offers its reads to the lane of the member its last plain
+QUERY named; everything the lane leaves goes through
+:meth:`ServingCore.handle_request` and the Python path below, which
+answers with one :meth:`QueryEngine.batch_query` per member (other schemes
+parse each distinct endpoint once through the engine's parsed-label LRU)
+and one ``transport.write`` per connection.  A flush that mixes both
+paths for one member, or that the kernel declines, is answered by the
+Python path in arrival order, so the responses are byte for byte those of
+a server without the lane.
 
 Two overload/latency features ride on the same structure:
 
@@ -48,6 +59,7 @@ import asyncio
 import os
 import time
 from collections import deque
+from itertools import repeat
 
 from repro import kernels
 from repro.api.catalog import CatalogError, IndexCatalog
@@ -68,9 +80,9 @@ _LATENCY_WINDOW = 4096
 class _Member:
     """One servable index plus the constants its responses need."""
 
-    __slots__ = ("name", "index", "kind_code", "ratio_bound", "pending")
+    __slots__ = ("name", "index", "kind_code", "ratio_bound", "pending", "queued", "lane")
 
-    def __init__(self, name: str, index: DistanceIndex) -> None:
+    def __init__(self, name: str, index: DistanceIndex, lane_capacity: int = 0) -> None:
         self.name = name
         self.index = index
         self.kind_code = protocol.KIND_CODES[index.kind]
@@ -79,10 +91,37 @@ class _Member:
             if index.kind == "approximate"
             else (1.0 if index.kind == "exact" else None)
         )
-        #: coalescer queue: (connection, request_id, u, v, enqueued_at, trace)
-        #: where ``trace`` is ``(trace_id, arrived, decoded)`` for requests
-        #: carrying the additive trace-id field and ``None`` otherwise
+        #: coalescer queue, in arrival order: requests ``(connection,
+        #: request_id, u, v, enqueued_at, trace)`` where ``trace`` is
+        #: ``(trace_id, arrived, decoded)`` for requests carrying the additive
+        #: trace-id field and ``None`` otherwise, and native-lane runs
+        #: ``(connection, start, count, enqueued_at)`` — the lane's frames
+        #: ``start`` .. ``start + count - 1``
         self.pending: list[tuple] = []
+        self.queued = 0  #: QUERYs in ``pending``, a run counting its frames
+        #: the native QUERY lane (:class:`repro.kernels.native.QueryLane`):
+        #: ``None`` unless the kernel tier answers this scheme and the core
+        #: allows it (``lane_capacity`` > 0)
+        self.lane = (
+            kernels.backend().query_lane(index.store, index.scheme, name, lane_capacity)
+            if lane_capacity
+            else None
+        )
+
+
+def _expand_runs(lane, pending: list) -> list:
+    """``pending`` with each lane run replaced by its requests, in order."""
+    out = []
+    for entry in pending:
+        if len(entry) == 4:  # a lane run
+            connection, start, count, enqueued = entry
+            out += [
+                (connection, *lane.pair(index), enqueued, None)
+                for index in range(start, start + count)
+            ]
+        else:
+            out.append(entry)
+    return out
 
 
 class ServingCore:
@@ -122,18 +161,23 @@ class ServingCore:
             raise ValueError("slow_ms must be non-negative")
         if trace_ring < 1:
             raise ValueError("trace_ring must be at least 1")
+        self.coalesce = coalesce
+        self.max_batch = max_batch
+        self._faults = faults.plan_for(slot)
+        #: frames one member's native lane holds (0: the lane is off).  It
+        #: coalesces like the Python path, so it stays off for the naive
+        #: mode, and for fault injection, which fires once per dispatch
+        self._lane_capacity = max_batch if coalesce and self._faults is None else 0
         self._catalog: IndexCatalog | None = None
         self._members: dict[str, _Member] = {}
         if isinstance(target, IndexCatalog):
             self._catalog = target
         elif isinstance(target, DistanceIndex):
-            self._members[""] = _Member("", target)
+            self._members[""] = _Member("", target, self._lane_capacity)
         else:
             raise TypeError(
                 f"target must be a DistanceIndex or IndexCatalog, got {type(target).__name__}"
             )
-        self.coalesce = coalesce
-        self.max_batch = max_batch
         #: MATRIX responses are bounded in size even though they run off the
         #: event loop: an n-node matrix costs n^2/2 queries of executor time
         #: and one O(n^2) response frame
@@ -152,7 +196,6 @@ class ServingCore:
         self.slot = slot
         self.restarts = restarts
         self.generation = generation
-        self._faults = faults.plan_for(slot)
         #: open _Connection objects, so a draining worker can close them
         self._connections: set = set()
         #: member placement (the ``routing`` feature): the member names this
@@ -179,6 +222,7 @@ class ServingCore:
         self.matrix_offloaded = 0  #: MATRIX requests run on the executor
         self.flushes = 0  #: coalescer batch_query calls
         self.coalesced = 0  #: QUERY answers produced by those calls
+        self.native_lane_pairs = 0  #: of those, answered through the native lane
         self.errors = 0
         self.busy_rejections = 0  #: requests shed with OP_BUSY
         self.pending_total = 0  #: QUERYs currently queued in the coalescer
@@ -217,7 +261,7 @@ class ServingCore:
                 raise CatalogError(
                     f"catalog member {name!r} failed to open: {error}"
                 ) from error
-            member = _Member(name, index)
+            member = _Member(name, index, self._lane_capacity)
             self._members[name] = member
         return member
 
@@ -311,6 +355,13 @@ class ServingCore:
         LRU's (:meth:`QueryEngine.cache_info`): it counts only lookups from
         batches the kernel backend declines, so a member whose scheme has a
         native kernel can sit at 0.0 with no lookups while it serves.
+        ``native_lane_pairs`` counts the ``coalesced_queries`` answered
+        through the native lane; the rest (traced, routed, ``python`` tier,
+        schemes with no kernel) took the Python path.  The lane times the
+        decode of a whole read at once, so the ``decode`` stage histogram
+        holds each run's mean per-frame decode time, once per frame: its
+        √2 bucket error is unchanged, but the spread of decode times within
+        one read is not recorded.
         """
         elapsed = max(time.monotonic() - self.started_at, 1e-9)
         samples = list(self._latencies)
@@ -328,6 +379,7 @@ class ServingCore:
             "matrix_inflight": self._matrix_inflight,
             "flushes": self.flushes,
             "coalesced_queries": self.coalesced,
+            "native_lane_pairs": self.native_lane_pairs,
             "mean_batch_size": round(self.coalesced / self.flushes, 2) if self.flushes else 0.0,
             "errors": self.errors,
             "busy_rejections": self.busy_rejections,
@@ -409,18 +461,62 @@ class ServingCore:
             self.busy_rejections += 1
             connection.send(protocol.encode_busy(request_id, self._retry_hint_ms()))
             return
-        pending = member.pending
-        if not pending:
+        if not member.queued:
             self._dirty.append(member)
-        pending.append((connection, request_id, u, v, time.monotonic(), trace))
+        member.pending.append((connection, request_id, u, v, time.monotonic(), trace))
+        member.queued += 1
         self.pending_total += 1
-        if not self.coalesce or len(pending) >= self.max_batch:
+        if not self.coalesce or member.queued >= self.max_batch:
             self._flush()
-        elif not self._flush_scheduled:
+        else:
+            self._schedule_flush()
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
             self._flush_scheduled = True
             # call_soon runs after every data_received callback already queued
             # in this event-loop tick: that is the coalescing window
             asyncio.get_running_loop().call_soon(self._flush)
+
+    def take_queries(self, connection, buffer, pos: int) -> int:
+        """The native lane: queue the plain QUERY frames at ``buffer[pos:]``.
+
+        ``connection.lane`` names the member whose frames the lane takes
+        (the member of the connection's last plain QUERY).  The run of
+        frames it decodes in one C call is queued as one entry, up to
+        ``max_batch`` per member and ``max_pending`` in all; whatever it
+        leaves — another opcode or member, a suffix, a full queue, a
+        partial frame — stays for :meth:`handle_request`.  Returns the
+        offset after the frames taken.
+        """
+        member = connection.lane
+        if not self.owns(member.name):  # a routing change moved the member
+            connection.lane = None
+            return pos
+        lane = member.lane
+        clock = time.monotonic
+        while True:
+            start = lane.fill
+            room = min(
+                self.max_pending - self.pending_total, self.max_batch - member.queued
+            )
+            arrived = clock()
+            count, pos = lane.take(buffer, pos, room)
+            if not count:
+                return pos
+            enqueued = clock()
+            self.stage_hist["decode"].observe_many(
+                (enqueued - arrived) * 1000.0 / count, count
+            )
+            if not member.queued:
+                self._dirty.append(member)
+            member.pending.append((connection, start, count, enqueued))
+            member.queued += count
+            self.pending_total += count
+            if member.queued < self.max_batch:
+                self._schedule_flush()
+                return pos
+            self._flush()  # a full batch: answer it, then take the rest
 
     def _retry_hint_ms(self) -> int:
         """Backoff hint sent with BUSY: roughly one coalescer drain."""
@@ -432,88 +528,151 @@ class ServingCore:
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, []
+        for member in dirty:
+            pending = member.pending
+            if not pending:
+                continue
+            queued = member.queued
+            member.pending, member.queued = [], 0
+            self.pending_total -= queued
+            lane = member.lane
+            if lane is None or not lane.fill:
+                self._answer_pending(member, pending)
+                continue
+            values = None
+            if lane.fill == queued:  # runs only: the lane answers them
+                flush_start = time.monotonic()
+                values = kernels.backend().batch_query(
+                    member.index.store, member.index.scheme, lane
+                )
+            if values is not None:
+                self._answer_runs(member, pending, values, flush_start, time.monotonic())
+            else:
+                # mixed with Python-path requests, or declined by the kernel
+                # (a node out of range, a corrupt label): the Python path
+                # answers every frame, in arrival order, and only offending
+                # requests receive OP_ERROR
+                self._answer_pending(member, _expand_runs(lane, pending))
+            lane.fill = 0
+
+    def _answer_runs(
+        self, member: _Member, runs: list, values, flush_start: float, finished: float
+    ) -> None:
+        """Send the lane's answers (``values``, a C array over every lane
+        frame): one encode, one write and one update of each histogram per
+        run."""
+        lane = member.lane
+        self.flushes += 1
+        self.coalesced += lane.fill
+        self.queries += lane.fill
+        self.native_lane_pairs += lane.fill
+        self.stage_hist["batch"].observe((finished - flush_start) * 1000.0)
+        now = time.monotonic
+        kind = member.kind_code
+        latency_hist = self.latency_hist
+        queue_hist = self.stage_hist["queue"]
+        encode_hist = self.stage_hist["encode"]
+        write_hist = self.stage_hist["write"]
+        record = self._latencies.extend
+        slow_ms = self.tracer.slow_ms
+        for connection, start, count, enqueued in runs:
+            total_ms = (finished - enqueued) * 1000.0
+            record(repeat(finished - enqueued, count))
+            latency_hist.observe_many(total_ms, count)
+            queue_hist.observe_many((flush_start - enqueued) * 1000.0, count)
+            if slow_ms is not None and total_ms >= slow_ms:
+                for index in range(start, start + count):
+                    _, u, v = lane.pair(index)
+                    self.tracer.maybe_slow(
+                        total_ms,
+                        {"op": "query", "member": member.name, "u": u, "v": v, "trace_id": None},
+                    )
+            encode_start = now()
+            block = lane.encode(kind, values, start, count)
+            encode_end = now()
+            connection.send(block)
+            write_end = now()
+            encode_hist.observe((encode_end - encode_start) * 1000.0)
+            write_hist.observe((write_end - encode_end) * 1000.0)
+
+    def _answer_pending(self, member: _Member, pending: list) -> None:
+        """Answer the Python path's queries with one batch call."""
         now = time.monotonic
         record = self._latencies.append
         latency_hist = self.latency_hist
         queue_hist = self.stage_hist["queue"]
         slow_ms = self.tracer.slow_ms
-        for member in dirty:
-            pending = member.pending
-            if not pending:
-                continue
-            member.pending = []
-            self.pending_total -= len(pending)
-            pairs = [(item[2], item[3]) for item in pending]
-            flush_start = now()
-            try:
-                answers = member.index.batch(pairs, raw=True)
-            except (StoreError, ValueError):
-                # one bad pair must not poison the whole coalesced batch:
-                # fall back to answering each query alone so only the
-                # offending requests receive OP_ERROR
-                self._flush_individually(member, pending)
-                continue
-            self.flushes += 1
-            self.coalesced += len(pending)
-            self.queries += len(pending)
-            finished = now()
-            self.stage_hist["batch"].observe((finished - flush_start) * 1000.0)
-            # group per connection, then build each connection's response
-            # frames in one encode_result_block call and one write
-            answered: dict[object, list] = {}
-            traced: list[tuple] = []
-            for item, answer in zip(pending, answers):
-                connection, request_id, u, v, enqueued, trace = item
-                total_ms = (finished - enqueued) * 1000.0
-                record(finished - enqueued)
-                latency_hist.observe(total_ms)
-                queue_hist.observe((flush_start - enqueued) * 1000.0)
-                if slow_ms is not None and total_ms >= slow_ms:
-                    self.tracer.maybe_slow(
-                        total_ms,
-                        {
-                            "op": "query",
-                            "member": member.name,
-                            "u": u,
-                            "v": v,
-                            "trace_id": trace[0] if trace else None,
-                        },
-                    )
-                if trace is not None:
-                    traced.append((trace, connection, u, v, enqueued))
-                bucket = answered.get(connection)
-                if bucket is None:
-                    bucket = answered[connection] = []
-                bucket.append((request_id, answer))
-            kind = member.kind_code
-            ratio = member.ratio_bound
-            encode_hist = self.stage_hist["encode"]
-            write_hist = self.stage_hist["write"]
-            conn_times: dict[object, tuple] = {}
-            for connection, items in answered.items():
-                encode_start = now()
-                block = protocol.encode_result_block(items, kind, ratio)
-                encode_end = now()
-                connection.send(block)
-                write_end = now()
-                encode_hist.observe((encode_end - encode_start) * 1000.0)
-                write_hist.observe((write_end - encode_end) * 1000.0)
-                if traced:
-                    conn_times[connection] = (encode_start, encode_end, write_end)
-            for trace, connection, u, v, enqueued in traced:
-                encode_start, encode_end, write_end = conn_times[connection]
-                self._record_query_trace(
-                    trace,
-                    member,
-                    u,
-                    v,
-                    enqueued=enqueued,
-                    flush_start=flush_start,
-                    batch_end=finished,
-                    encode_start=encode_start,
-                    encode_end=encode_end,
-                    write_end=write_end,
+        pairs = [(item[2], item[3]) for item in pending]
+        flush_start = now()
+        try:
+            answers = member.index.batch(pairs, raw=True)
+        except (StoreError, ValueError):
+            # one bad pair must not poison the whole coalesced batch:
+            # fall back to answering each query alone so only the
+            # offending requests receive OP_ERROR
+            self._flush_individually(member, pending)
+            return
+        self.flushes += 1
+        self.coalesced += len(pending)
+        self.queries += len(pending)
+        finished = now()
+        self.stage_hist["batch"].observe((finished - flush_start) * 1000.0)
+        # group per connection, then build each connection's response
+        # frames in one encode_result_block call and one write
+        answered: dict[object, list] = {}
+        traced: list[tuple] = []
+        for item, answer in zip(pending, answers):
+            connection, request_id, u, v, enqueued, trace = item
+            total_ms = (finished - enqueued) * 1000.0
+            record(finished - enqueued)
+            latency_hist.observe(total_ms)
+            queue_hist.observe((flush_start - enqueued) * 1000.0)
+            if slow_ms is not None and total_ms >= slow_ms:
+                self.tracer.maybe_slow(
+                    total_ms,
+                    {
+                        "op": "query",
+                        "member": member.name,
+                        "u": u,
+                        "v": v,
+                        "trace_id": trace[0] if trace else None,
+                    },
                 )
+            if trace is not None:
+                traced.append((trace, connection, u, v, enqueued))
+            bucket = answered.get(connection)
+            if bucket is None:
+                bucket = answered[connection] = []
+            bucket.append((request_id, answer))
+        kind = member.kind_code
+        ratio = member.ratio_bound
+        encode_hist = self.stage_hist["encode"]
+        write_hist = self.stage_hist["write"]
+        conn_times: dict[object, tuple] = {}
+        for connection, items in answered.items():
+            encode_start = now()
+            block = protocol.encode_result_block(items, kind, ratio)
+            encode_end = now()
+            connection.send(block)
+            write_end = now()
+            encode_hist.observe((encode_end - encode_start) * 1000.0)
+            write_hist.observe((write_end - encode_end) * 1000.0)
+            if traced:
+                conn_times[connection] = (encode_start, encode_end, write_end)
+        for trace, connection, u, v, enqueued in traced:
+            encode_start, encode_end, write_end = conn_times[connection]
+            self._record_query_trace(
+                trace,
+                member,
+                u,
+                v,
+                enqueued=enqueued,
+                flush_start=flush_start,
+                batch_end=finished,
+                encode_start=encode_start,
+                encode_end=encode_end,
+                write_end=write_end,
+            )
 
     def _record_query_trace(
         self,
@@ -664,6 +823,14 @@ class ServingCore:
             if op == protocol.OP_QUERY:
                 member = self.member(name)
                 u, v = payload
+                if (
+                    member.lane is not None
+                    and trace_id is None
+                    and route_version is None
+                    and self.owns(name)
+                ):
+                    # the connection's next reads go to this member's lane
+                    connection.lane = member
                 trace = (trace_id, arrived, decoded) if trace_id is not None else None
                 self.enqueue_query(member, connection, request_id, u, v, trace)
                 return
@@ -789,13 +956,16 @@ class ServingCore:
 class _Connection(asyncio.Protocol):
     """One client connection: frame splitting and response writing."""
 
-    __slots__ = ("_core", "_decoder", "_transport", "closed")
+    __slots__ = ("_core", "_decoder", "_transport", "closed", "lane")
 
     def __init__(self, core: ServingCore) -> None:
         self._core = core
         self._decoder = protocol.FrameDecoder()
         self._transport: asyncio.Transport | None = None
         self.closed = False
+        #: the member whose plain QUERYs this connection's reads offer to
+        #: the native lane first (set by :meth:`ServingCore.handle_request`)
+        self.lane: _Member | None = None
 
     # -- asyncio.Protocol hooks ----------------------------------------------
 
@@ -813,10 +983,20 @@ class _Connection(asyncio.Protocol):
         self._core._connections.discard(self)
 
     def data_received(self, data: bytes) -> None:
+        core = self._core
+        decoder = self._decoder
         try:
-            self._decoder.feed(data)
-            for body in self._decoder.frames():
-                self._core.handle_request(self, body)
+            decoder.feed(data)
+            pos = 0
+            while True:
+                if self.lane is not None:
+                    pos = core.take_queries(self, decoder.buffer, pos)
+                frame = decoder.frame_at(pos)
+                if frame is None:
+                    break
+                body, pos = frame
+                core.handle_request(self, body)
+            decoder.discard(pos)
         except protocol.ProtocolError:
             # unparseable bytes: the stream cannot be resynchronised
             self.abort()

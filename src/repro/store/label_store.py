@@ -60,16 +60,23 @@ class LabelStore:
         self._backing = payload
         self._view = _as_byte_view(payload)
 
-        lengths = array("Q")
-        offsets = array("Q", (0,))
-        total = 0
+        # both indexes are allocated once, at their final size (an
+        # ``array('Q')`` of bit lengths is taken over as is): grown by
+        # interleaved appends they fragment the heap, and what an open
+        # leaves resident then depends on where earlier objects happen to lie
         try:
-            for bits in bit_lengths:
-                lengths.append(bits)
-                total += (bits + 7) // 8
-                offsets.append(total)
+            lengths = (
+                bit_lengths
+                if isinstance(bit_lengths, array) and bit_lengths.typecode == "Q"
+                else array("Q", bit_lengths)
+            )
         except (OverflowError, TypeError) as error:
             raise StoreError(f"negative or invalid label bit length: {error}") from error
+        offsets = array("Q", bytes(8 * (len(lengths) + 1)))
+        total = 0
+        for index, bits in enumerate(lengths, 1):
+            total += (bits + 7) // 8
+            offsets[index] = total
         if total != self._view.nbytes:
             raise StoreError(
                 f"payload is {self._view.nbytes} bytes but the index "

@@ -8,7 +8,7 @@ with no Python-side parse at all.  :meth:`QueryEngine.query` calls a
 one-pair C entry that its first call resolves, once per engine.
 
 Everything the kernel declines — other scheme families, the packed-Python
-floor, small batches, out-of-range nodes, corrupt labels — runs through
+floor, out-of-range nodes, corrupt labels — runs through
 the scheme's own ``parse_many``.  Parsing a label dominates CPython query
 cost there, so the engine keeps a bounded LRU cache of parsed labels for
 those declined :meth:`QueryEngine.query` calls and the Python batch path,
@@ -164,9 +164,9 @@ class QueryEngine:
     def batch_query(self, pairs: Sequence[tuple[int, int]]) -> list:
         """Answer many queries, parsing each distinct endpoint at most once.
 
-        A batch of at least ``min_batch`` pairs goes to the active kernel
-        backend first, which answers it straight from the packed store
-        without touching the parse cache.  A backend that declines
+        The active kernel backend answers first, whatever the batch size,
+        straight from the packed store and without touching the parse
+        cache.  A backend that declines
         (``None``: unsupported scheme, the Python floor, an out-of-range
         node) sends the batch down the Python path: one ``_parse_batch``
         through the LRU, then ``scheme.query`` per pair — which also raises
@@ -175,11 +175,9 @@ class QueryEngine:
         pairs = list(pairs)
         if not pairs:
             return []
-        backend = kernels.backend()
-        if len(pairs) >= backend.min_batch:
-            fused = backend.batch_query(self.store, self.scheme, pairs)
-            if fused is not None:
-                return fused
+        fused = kernels.backend().batch_query(self.store, self.scheme, pairs)
+        if fused is not None:
+            return fused
         us, vs = zip(*pairs)
         parsed = self._parse_batch(us + vs)
         query = self.scheme.query

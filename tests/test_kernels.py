@@ -174,7 +174,7 @@ def _answers_under(tier, store, spec, pairs, nodes):
 
 @pytest.mark.parametrize("spec", NATIVE_SPECS)
 def test_fused_tiers_match_python_on_large_batches(spec):
-    """Batches past every ``min_batch`` so the fused kernels really engage."""
+    """Batches spanning several C calls (``_PAIRS_PER_CALL`` pairs each)."""
     tree = make_tree("random", 300, seed=41)
     scheme = make_scheme_from_spec(spec)
     store = LabelStore.encode_tree(scheme, tree)
@@ -224,8 +224,8 @@ def test_fused_paths_leave_cache_info_unchanged(spec):
 
 
 def _pairs_with(bad_node: int, count: int = 300) -> list[tuple[int, int]]:
-    """``count`` in-range pairs (past ``min_batch`` and one C batch call's
-    worth, so the bad pair reaches a later call) plus one bad one."""
+    """``count`` in-range pairs (past one C batch call's worth, so the bad
+    pair reaches a later call) plus one bad one."""
     return [(i % 50, i % 50 + 1) for i in range(count)] + [(3, bad_node)]
 
 

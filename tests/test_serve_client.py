@@ -177,6 +177,55 @@ def test_matrix_costs_one_request(kind, nodes, stub_factory):
     assert [request[0] for request in server.requests[0]] == [protocol.OP_MATRIX]
 
 
+def test_async_queries_of_one_tick_share_one_write(stub_factory):
+    """64 concurrent ``query()`` calls reach the transport as one write."""
+    server = stub_factory()
+    pairs = [(i, 3 * i) for i in range(64)]
+
+    async def main():
+        client = await AsyncLabelClient.connect(*server.address)
+        transport = client._writer.transport
+        writes = []
+        write = transport.write
+
+        def counted(data):
+            writes.append(bytes(data))
+            write(data)
+
+        transport.write = counted
+        try:
+            answers = await asyncio.gather(*(client.query(u, v, raw=True) for u, v in pairs))
+        finally:
+            await client.close()
+        return answers, writes
+
+    answers, writes = asyncio.run(main())
+    assert answers == [u + v for u, v in pairs]
+    assert len(writes) == 1
+    assert [request[3] for request in server.requests[0]] == pairs
+
+
+def test_async_concurrent_queries_survive_a_drop(stub_factory):
+    """The drop-after-K scenario with concurrent ``query()`` calls: one
+    reconnect, and the replacement connection sees only fresh-id retries of
+    the N - K unanswered requests, each once."""
+    n, k = 40, 10
+    server = stub_factory(close_after=k)
+    pairs = [(i, 2 * i) for i in range(n)]
+    answers, client = _with_client(
+        "async",
+        server,
+        lambda c: asyncio.gather(*(c.query(u, v, raw=True) for u, v in pairs)),
+    )
+    assert answers == [u + v for u, v in pairs]
+    assert client.reconnects == 1
+    assert len(server.requests) == 2
+    first, resent = server.requests
+    assert [request[3] for request in first] == pairs  # one write, before the drop
+    assert sorted(request[3] for request in resent) == pairs[k:]
+    assert min(request[1] for request in resent) > max(request[1] for request in first)
+
+
 def test_both_drivers_agree_on_busy_and_drop(stub_factory):
     """One scenario — every third pair shed once, a drop after 25 requests,
     a small window — through both clients: identical answers and counters."""
