@@ -32,7 +32,8 @@ import subprocess
 import sys
 import time
 
-from perf_common import REPO_ROOT, write_json
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))  # the --child runs import repro
 
 TREE_SEED = 7
 PAIR_SEED = 17
@@ -178,6 +179,15 @@ def _child_query_check(args) -> dict:
 
 
 # -- parent orchestration ----------------------------------------------------
+
+
+def write_json(filename: str, payload: dict, out: str | None = None) -> str:
+    """Write a benchmark JSON at the repo root (or ``out``), return the path."""
+    path = out if out else os.path.join(REPO_ROOT, filename)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def _run_child(child_args: list[str]) -> dict:

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark exercises one row of the DESIGN.md experiment index and
-attaches the quantities the paper reports (label sizes in bits, the matching
-bound formula) to ``benchmark.extra_info`` so they appear in the
-pytest-benchmark JSON/therminal output alongside the timings.
+Every benchmark reproduces one table or figure of the paper and attaches
+the quantities the paper reports (label sizes in bits, the matching bound
+formula) to ``benchmark.extra_info`` so they appear in the pytest-benchmark
+JSON/terminal output alongside the timings.
 """
 
 from __future__ import annotations

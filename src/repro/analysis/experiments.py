@@ -1,4 +1,4 @@
-"""Experiment drivers, one per row of the DESIGN.md per-experiment index.
+"""Experiment drivers: one per table or figure of the paper, plus store throughput.
 
 Each function returns a list of flat row dictionaries; the benchmarks wrap
 them in pytest-benchmark fixtures and the CLI prints them with

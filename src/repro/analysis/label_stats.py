@@ -188,8 +188,8 @@ def measure_store_throughput(
 ) -> dict:
     """Compare per-pair ``query_from_bits`` against a batched façade run.
 
-    Returns a row with both throughputs and the speedup; used by the
-    ``bench_query_time`` benchmark and the CLI ``query`` command.
+    Returns a row with both throughputs and the speedup; used by the CLI
+    ``store-bench`` command.
     ``scheme`` is a spec string or a live scheme instance.
     """
     from repro.api import DistanceIndex

@@ -34,9 +34,9 @@ endpoint and drives it with synthetic traffic::
     repro-labels loadgen --port 7117 --workload sibling --family random
 
 ``serve`` answers the :mod:`repro.serve` wire protocol with micro-batched
-query coalescing (``--no-coalesce`` for the naive baseline); ``--workers N``
-pre-forks a shard-per-core fleet sharing the port, and ``--max-pending``
-bounds the per-worker queue (overload is shed with BUSY and clients retry).
+query coalescing; ``--workers N`` pre-forks a shard-per-core fleet sharing
+the port, and ``--max-pending`` bounds the per-worker queue (overload is
+shed with BUSY and clients retry).
 ``loadgen`` reports client-side throughput and the fleet-merged server
 statistics (latency percentiles from bucket-wise merged histograms).
 
@@ -47,8 +47,8 @@ The observability plane rides on the same endpoint::
     repro-labels loadgen --port 7117 --trace-every 100   # per-stage breakdown
     repro-labels trace --port 7117              # recent traces + slow log
 
-The experiment commands mirror the index of DESIGN.md so every table and
-figure of the paper can be regenerated from the shell::
+The experiment commands regenerate every table and figure of the paper
+from the shell::
 
     repro-labels table1-exact --sizes 256 1024 4096
     repro-labels table1-kdistance | table1-approx
@@ -227,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the file through a read-only memory mapping instead of "
         "reading it into the heap; a pre-forked fleet then shares one "
         "physical copy of the payload via the page cache",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="answer each query alone (the naive one-request-per-batch path)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=8192,
@@ -639,8 +635,7 @@ def _serve_single(args, server_config: dict) -> str:
 
     async def run() -> None:
         host, port = await server.start(args.host, args.port)
-        mode = "micro-batched" if server.coalesce else "naive (no coalescing)"
-        print(f"serving {description} on {host}:{port} [{mode}]", flush=True)
+        print(f"serving {description} on {host}:{port} [micro-batched]", flush=True)
         loop = asyncio.get_running_loop()
         install_profile_hook(
             loop,
@@ -710,11 +705,10 @@ def _serve_fleet(args, server_config: dict) -> str:
         **server_config,
     )
     host, port = supervisor.start()
-    mode = "micro-batched" if server_config["coalesce"] else "naive (no coalescing)"
     binding = "SO_REUSEPORT" if supervisor.reuse_port else "inherited socket"
     print(
         f"serving {description} on {host}:{port} "
-        f"[{mode}, {args.workers} workers via {binding}, "
+        f"[micro-batched, {args.workers} workers via {binding}, "
         f"pids={','.join(str(pid) for pid in supervisor.pids)}, "
         f"generation={supervisor.generation['generation']}]",
         flush=True,
@@ -806,7 +800,6 @@ def _serve(args) -> str:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     server_config = {
-        "coalesce": not args.no_coalesce,
         "max_batch": args.max_batch,
         "max_pending": args.max_pending,
         "slow_ms": args.slow_ms,

@@ -25,7 +25,7 @@ Section 3 structure, mirrored here:
 
 Ablation switches (`use_fragments`, `use_accumulators`, `binarize`) let the
 benchmarks quantify each ingredient's contribution to the label size
-(DESIGN.md, "Ablations").
+(``benchmarks/bench_ablation_freedman.py``).
 """
 
 from __future__ import annotations

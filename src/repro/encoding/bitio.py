@@ -11,9 +11,8 @@ bits, and the printable ``'0'``/``'1'`` view is still available through
 :attr:`Bits.data` for diagnostics and tests.
 
 The previous character-per-bit implementation is preserved verbatim in
-:mod:`repro.encoding.bitio_reference`; the differential test suite
-(``tests/test_bitio_packed.py``) checks the two against each other, and the
-benchmark runners use it as the recorded pre-packing baseline.
+``tests/bitio_reference.py``, a test-only oracle; the differential test
+suite (``tests/test_bitio_packed.py``) checks the two against each other.
 """
 
 from __future__ import annotations

@@ -294,8 +294,9 @@ class NativeBackend:
 
         A real :class:`LabelStore` hands out ``array('Q')`` index sequences
         and a (possibly ``mmap``-backed) payload view — all three are mapped
-        in place with ``ffi.from_buffer``, so the native tier runs straight
-        off the original storage.  Duck-typed stores returning plain lists
+        in place with ``ffi.from_buffer`` (the payload through
+        :meth:`_payload_pointer`), so the native tier runs straight off the
+        original storage.  Duck-typed stores returning plain lists
         fall back to a one-time ``ffi.new`` copy.
         """
         cached = getattr(store, "_repro_kernel_arrays", None)
@@ -303,11 +304,7 @@ class NativeBackend:
             return cached
         view, offsets, lengths = store.buffers()
         ffi = self.ffi
-        payload = (
-            ffi.from_buffer("uint8_t[]", view)
-            if len(view)
-            else ffi.new("uint8_t[]", 1)
-        )
+        payload = self._payload_pointer(view) if len(view) else ffi.new("uint8_t[]", 1)
 
         def index_array(sequence):
             if len(sequence):
@@ -325,6 +322,25 @@ class NativeBackend:
         except AttributeError:  # a store type with __slots__: rebuild per call
             pass
         return arrays
+
+    def _payload_pointer(self, view):
+        """A ``uint8_t *`` to the first byte of ``view`` that keeps it alive.
+
+        The buffer is taken from the object under a memoryview (``bytes`` or
+        an ``mmap``), never from the memoryview itself: when a store holding
+        an open cffi export of its memoryview becomes cyclic garbage, the
+        collector may clear the view under the export (``BufferError``, then
+        a crash when the export is released).  ``ffi.gc`` ties the owner's
+        buffer to the offset pointer.
+        """
+        ffi = self.ffi
+        owner = getattr(view, "obj", None)
+        if owner is None:  # a plain bytes-like payload from a duck-typed store
+            return ffi.from_buffer("uint8_t[]", view)
+        base = ffi.from_buffer("uint8_t[]", owner)
+        with ffi.from_buffer("uint8_t[]", view) as start:
+            offset = int(ffi.cast("uintptr_t", start)) - int(ffi.cast("uintptr_t", base))
+        return ffi.gc(base + offset, lambda _pointer, _base=base: None)
 
     # -- fused entry points --------------------------------------------------
 

@@ -1,12 +1,11 @@
 """Load generator for a :mod:`repro.serve` endpoint.
 
-One entry point, :func:`run_load`, shared by the ``repro-labels loadgen``
-command and ``benchmarks/bench_serve_throughput.py``: generate a named pair
-workload (:mod:`repro.generators.workloads` — uniform, Zipf-skewed, or the
-structural ``sibling``/``khop`` shapes), drive the server from several
-pipelined connections, and report client-side throughput next to the
-server's own statistics (coalescer batch sizes, latency percentiles,
-parsed-label cache hit rate).
+One entry point, :func:`run_load`, behind the ``repro-labels loadgen``
+command: generate a named pair workload (:mod:`repro.generators.workloads`
+— uniform, Zipf-skewed, or the structural ``sibling``/``khop`` shapes),
+drive the server from several pipelined connections, and report
+client-side throughput next to the server's own statistics (coalescer
+batch sizes, latency percentiles, parsed-label cache hit rate).
 
 The structural workloads need the tree itself, which the server never
 ships over the wire; ``family``/``tree_seed`` rebuild it locally from the

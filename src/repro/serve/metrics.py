@@ -96,7 +96,6 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
         merged[key] = sum(stats.get(key, 0) for stats in workers)
     merged["qps"] = round(sum(stats.get("qps", 0.0) for stats in workers), 1)
     merged["uptime_seconds"] = max(stats.get("uptime_seconds", 0.0) for stats in workers)
-    merged["coalescing"] = all(stats.get("coalescing", True) for stats in workers)
     merged["max_pending"] = max(stats.get("max_pending", 0) for stats in workers)
     merged["mean_batch_size"] = (
         round(merged["coalesced_queries"] / merged["flushes"], 2)

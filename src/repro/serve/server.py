@@ -47,10 +47,6 @@ Two overload/latency features ride on the same structure:
 * **MATRIX offload** — matrix requests run on a thread executor through
   :meth:`QueryEngine.matrix_into`, so an n²/2-query matrix no longer stalls
   the coalescer tick (concurrent offloads are capped; excess gets BUSY).
-
-``coalesce=False`` keeps the identical code path but flushes after every
-request (a batch of one) — the naive serving baseline that
-``benchmarks/bench_serve_throughput.py`` measures the coalescer against.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ import asyncio
 import os
 import time
 from collections import deque
+from functools import partial
 from itertools import repeat
 
 from repro import kernels
@@ -136,7 +133,6 @@ class ServingCore:
         self,
         target: DistanceIndex | IndexCatalog,
         *,
-        coalesce: bool = True,
         max_batch: int = 8192,
         max_matrix: int = 1024,
         max_pending: int = 65536,
@@ -161,13 +157,11 @@ class ServingCore:
             raise ValueError("slow_ms must be non-negative")
         if trace_ring < 1:
             raise ValueError("trace_ring must be at least 1")
-        self.coalesce = coalesce
         self.max_batch = max_batch
         self._faults = faults.plan_for(slot)
         #: frames one member's native lane holds (0: the lane is off).  It
-        #: coalesces like the Python path, so it stays off for the naive
-        #: mode, and for fault injection, which fires once per dispatch
-        self._lane_capacity = max_batch if coalesce and self._faults is None else 0
+        #: stays off under fault injection, which fires once per dispatch
+        self._lane_capacity = max_batch if self._faults is None else 0
         self._catalog: IndexCatalog | None = None
         self._members: dict[str, _Member] = {}
         if isinstance(target, IndexCatalog):
@@ -395,7 +389,6 @@ class ServingCore:
                 "p99": round(self.latency_hist.percentile(0.99), 4),
                 "samples": self.latency_hist.total,
             },
-            "coalescing": self.coalesce,
             "misroutes": self.misroutes,
             "moved_redirects": self.moved_redirects,
             "routing_version": self.routing_version,
@@ -449,7 +442,7 @@ class ServingCore:
         v: int,
         trace: tuple | None = None,
     ) -> None:
-        """Queue one QUERY for the next flush (or flush now when naive).
+        """Queue one QUERY for the next flush (or flush now at ``max_batch``).
 
         When the pending queue is already at ``max_pending``, the request is
         shed immediately with BUSY — bounded memory and bounded latency for
@@ -466,7 +459,7 @@ class ServingCore:
         member.pending.append((connection, request_id, u, v, time.monotonic(), trace))
         member.queued += 1
         self.pending_total += 1
-        if not self.coalesce or member.queued >= self.max_batch:
+        if member.queued >= self.max_batch:
             self._flush()
         else:
             self._schedule_flush()
@@ -1039,6 +1032,18 @@ class LabelServer(ServingCore):
         self._server: asyncio.AbstractServer | None = None
         self._direct_server: asyncio.AbstractServer | None = None
 
+    async def _listen(self, host: str, port: int, reuse_port: bool, sock):
+        """One asyncio listener feeding this core: the inherited ``sock``
+        if given, else a fresh ``(host, port)`` socket (``SO_REUSEPORT``
+        when ``reuse_port``)."""
+        loop = asyncio.get_running_loop()
+        factory = partial(_Connection, self)
+        if sock is not None:
+            return await loop.create_server(factory, sock=sock)
+        return await loop.create_server(
+            factory, host=host, port=port, reuse_port=reuse_port
+        )
+
     async def start(
         self,
         host: str = "127.0.0.1",
@@ -1048,19 +1053,7 @@ class LabelServer(ServingCore):
         sock=None,
     ) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), sock=sock
-            )
-        elif reuse_port:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port, reuse_port=True
-            )
-        else:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port
-            )
+        self._server = await self._listen(host, port, reuse_port, sock)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -1079,19 +1072,7 @@ class LabelServer(ServingCore):
         own direct port that routed clients pin per-member connections to.
         Both feed the same :class:`ServingCore`.
         """
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), sock=sock
-            )
-        elif reuse_port:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port, reuse_port=True
-            )
-        else:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port
-            )
+        self._direct_server = await self._listen(host, port, reuse_port, sock)
         sockname = self._direct_server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 

@@ -10,8 +10,7 @@ all the distance-array machinery of Section 3:
   branching at the same node the largest subtree comes last (the
   *exceptional* edge),
 * the **domination order** of Lemma 3.1 is realised as the postorder number
-  of a node's collapsed node under this child ordering (DESIGN.md §3.1
-  explains why postorder implements the paper's domination relation).
+  of a node's collapsed node under this child ordering.
 """
 
 from __future__ import annotations

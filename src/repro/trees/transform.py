@@ -13,7 +13,7 @@ Both operations preserve all pairwise distances between the pendant leaves,
 so a scheme that labels the leaves of the transformed tree labels every node
 of the original tree.
 
-Deviation from the paper (documented in DESIGN.md §3.2): we attach a pendant
+Deviation from the paper: we attach a pendant
 leaf to *every* original node, not only to internal ones.  This guarantees
 that every queried node hangs off its ancestor heavy paths via light edges,
 which the accumulator reconstruction of Property 3.2 relies on.

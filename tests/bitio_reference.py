@@ -7,17 +7,9 @@ string style so the shared codec functions in :mod:`repro.encoding.elias`,
 :mod:`repro.encoding.varint` and :mod:`repro.encoding.monotone` run
 unchanged against either backend).
 
-It exists for two reasons:
-
-* the differential test suite (``tests/test_bitio_packed.py``) checks every
-  operation of the packed :mod:`repro.encoding.bitio` against this
-  implementation, and
-* the benchmark runners (``benchmarks/bench_query_time.py``,
-  ``benchmarks/bench_encode_time.py``) measure it as the recorded pre-PR
-  baseline, so the speedup of the word-packed layer stays an empirical
-  number rather than a claim.
-
-Nothing in the library imports this module on a hot path.
+It is a test oracle: the differential suite (``tests/test_bitio_packed.py``)
+checks every operation of the packed :mod:`repro.encoding.bitio` against
+this implementation.  Nothing in the library imports it.
 """
 
 from __future__ import annotations

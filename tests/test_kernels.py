@@ -385,3 +385,48 @@ def test_describe_and_cache_info_report_active_tier():
             index = DistanceIndex.build(tree, "hld-fixed")
             assert index.describe()["kernel"] == tier
             assert index.engine.cache_info()["backend"] == tier
+
+
+_CYCLIC_GC_SCRIPT = """
+import gc, sys
+from repro.api import DistanceIndex
+from repro.generators.workloads import make_tree, random_pairs
+
+spec, path = sys.argv[1], sys.argv[2]
+tree = make_tree("random", 1000, seed=1)
+built = DistanceIndex.build(tree, spec)
+built.save(path)
+opens = (lambda: DistanceIndex.from_bytes(built.to_bytes()),
+         lambda: DistanceIndex.open(path, mmap=True))
+for open_index in opens:
+    index = open_index()
+    index.query(0, 1)
+    index.batch(random_pairs(tree, 64, seed=2), raw=True)
+    index.cycle = index  # the store is now reachable only through a cycle
+    del index
+    gc.collect()
+print("collected")
+"""
+
+
+@pytest.mark.parametrize("spec", ["freedman", "hld-fixed", "k-distance:k=4"])
+def test_cyclic_garbage_native_store_collects_cleanly(spec, tmp_path):
+    """An index that kernels have answered from, dropped inside a reference
+    cycle, is freed by the cyclic collector without a ``BufferError`` or a
+    crash, whether its payload is heap bytes or an mmap.  Run in a
+    subprocess because the failure mode is a segfault."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = src + (
+        os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _CYCLIC_GC_SCRIPT, spec, str(tmp_path / "cyclic.bin")],
+        capture_output=True, text=True, env=environment, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "BufferError" not in result.stderr, result.stderr[-2000:]
+    assert result.stdout.strip().endswith("collected")

@@ -278,19 +278,20 @@ def test_pipeline_preserves_order_and_coalesces(catalog, tree):
     _run(_with_server(catalog, handler))
 
 
-def test_naive_mode_answers_one_request_per_batch(catalog, tree):
-    pairs = random_pairs(tree, 50, seed=9)
-    expected = catalog.index("exact").batch(pairs, raw=True)
+def test_zipf_traffic_keeps_the_parsed_label_lru_hot():
+    """alstrup has no fused kernel, so every flush reads the parsed-label
+    LRU; a Zipf-skewed pipeline over the wire must mostly hit it."""
+    tree = make_tree("random", 300, seed=29)
+    index = DistanceIndex.build(tree, "alstrup")
+    pairs = zipf_pairs(tree, 500, skew=1.2, seed=0)
 
     async def handler(server, client, host, port):
-        answers = await client.pipeline(pairs, name="exact", raw=True, window=16)
-        assert answers == expected
+        answers = await client.pipeline(pairs, raw=True, window=32)
+        assert answers == index.batch(pairs, raw=True)
         stats = await client.stats()
-        assert stats["flushes"] == len(pairs)  # every query flushed alone
-        assert stats["mean_batch_size"] == 1.0
-        assert stats["coalescing"] is False
+        assert stats["index"]["cache_hit_rate"] > 0.5
 
-    _run(_with_server(catalog, handler, coalesce=False))
+    _run(_with_server(DistanceIndex.from_bytes(index.to_bytes()), handler))
 
 
 def test_bad_query_does_not_poison_coalesced_batch(catalog, tree):

@@ -356,7 +356,6 @@ def _stats_payload(worker, qps, reservoir, **extra):
             "samples": len(reservoir),
             "reservoir": reservoir,
         },
-        "coalescing": True,
     }
     payload.update(extra)
     return payload
